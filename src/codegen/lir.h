@@ -10,7 +10,6 @@
 #define SRC_CODEGEN_LIR_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace spin {
@@ -58,7 +57,6 @@ enum class Cond : uint8_t {
 };
 
 Cond Negate(Cond cc);
-const char* CondName(Cond cc);
 
 enum class LOp : uint8_t {
   kMovRegImm,    // dst <- imm (64-bit value; encoder picks shortest form)
@@ -104,8 +102,6 @@ struct LInsn {
   uint64_t imm = 0;
   int label = -1;
 };
-
-std::string LInsnToString(const LInsn& insn);
 
 // Assembles LIR into machine code, resolving label fixups. Panics on
 // malformed input (unbound label) — generator bugs, not user errors.

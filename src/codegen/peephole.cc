@@ -1,7 +1,9 @@
 #include "src/codegen/peephole.h"
 
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
+
+#include "src/rt/panic.h"
 
 namespace spin {
 namespace codegen {
@@ -103,6 +105,21 @@ class FactTable {
   std::optional<LoadFact> facts_[16];
 };
 
+// Meets `facts` into the facts recorded for branches to `label`. No-op when
+// the pass degraded for backward branches (`incoming` is then empty).
+void RecordIncoming(std::vector<std::optional<FactTable>>& incoming,
+                    int label, const FactTable& facts) {
+  if (incoming.empty()) {
+    return;
+  }
+  std::optional<FactTable>& in = incoming[static_cast<size_t>(label)];
+  if (in.has_value()) {
+    in->IntersectWith(facts);
+  } else {
+    in = facts;
+  }
+}
+
 size_t OnePass(std::vector<LInsn>& code) {
   size_t rewrites = 0;
   std::vector<LInsn> out;
@@ -111,23 +128,32 @@ size_t OnePass(std::vector<LInsn>& code) {
   // Meet of facts over branches into each (forward) label, recorded as the
   // branches are seen. This is only sound when every branch is forward (as
   // the stub compiler guarantees); with any backward branch we degrade to
-  // killing all facts at labels.
-  bool backward_branches = false;
-  {
-    std::unordered_map<int, size_t> bound_at;
-    for (size_t i = 0; i < code.size(); ++i) {
-      if (code[i].op == LOp::kBind) {
-        bound_at[code[i].label] = i;
+  // killing all facts at labels. Labels are small dense integers, so the
+  // per-label tables are vectors indexed by label.
+  constexpr size_t kUnbound = SIZE_MAX;
+  std::vector<size_t> bound_at;
+  for (size_t i = 0; i < code.size(); ++i) {
+    if (code[i].op == LOp::kBind) {
+      SPIN_ASSERT(code[i].label >= 0);
+      auto label = static_cast<size_t>(code[i].label);
+      if (label >= bound_at.size()) {
+        bound_at.resize(label + 1, kUnbound);
       }
-    }
-    for (size_t i = 0; i < code.size() && !backward_branches; ++i) {
-      if (code[i].op == LOp::kJcc || code[i].op == LOp::kJmp) {
-        auto it = bound_at.find(code[i].label);
-        backward_branches = it == bound_at.end() || it->second < i;
-      }
+      bound_at[label] = i;
     }
   }
-  std::unordered_map<int, FactTable> incoming;
+  bool backward_branches = false;
+  for (size_t i = 0; i < code.size() && !backward_branches; ++i) {
+    if (code[i].op == LOp::kJcc || code[i].op == LOp::kJmp) {
+      auto label = static_cast<size_t>(code[i].label);
+      backward_branches = label >= bound_at.size() ||
+                          bound_at[label] == kUnbound || bound_at[label] < i;
+    }
+  }
+  // Only consulted (and only indexed) when every branch is forward to a
+  // bound label.
+  std::vector<std::optional<FactTable>> incoming(
+      backward_branches ? 0 : bound_at.size());
   bool reachable = true;  // false between an unconditional jmp and a label
 
   for (size_t i = 0; i < code.size(); ++i) {
@@ -183,18 +209,11 @@ size_t OnePass(std::vector<LInsn>& code) {
       case LOp::kIncMem32:
         facts.KillStore(insn.base, insn.disp, 4);
         break;
-      case LOp::kJcc: {
-        auto [it, fresh] = incoming.try_emplace(insn.label, facts);
-        if (!fresh) {
-          it->second.IntersectWith(facts);
-        }
+      case LOp::kJcc:
+        RecordIncoming(incoming, insn.label, facts);
         break;  // fall-through keeps current facts
-      }
       case LOp::kJmp: {
-        auto [it, fresh] = incoming.try_emplace(insn.label, facts);
-        if (!fresh) {
-          it->second.IntersectWith(facts);
-        }
+        RecordIncoming(incoming, insn.label, facts);
         reachable = false;
         facts.KillAll();
         break;
@@ -205,12 +224,13 @@ size_t OnePass(std::vector<LInsn>& code) {
           reachable = true;
           break;
         }
-        auto it = incoming.find(insn.label);
+        const std::optional<FactTable>& in =
+            incoming[static_cast<size_t>(insn.label)];
         if (!reachable) {
           // Only the recorded branches reach this point.
-          facts = it != incoming.end() ? it->second : FactTable{};
-        } else if (it != incoming.end()) {
-          facts.IntersectWith(it->second);
+          facts = in.value_or(FactTable{});
+        } else if (in.has_value()) {
+          facts.IntersectWith(*in);
         }
         reachable = true;
         break;

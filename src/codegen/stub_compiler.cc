@@ -1,7 +1,6 @@
 #include "src/codegen/stub_compiler.h"
 
 #include <cstdlib>
-#include <unordered_map>
 
 #include "src/codegen/lir.h"
 #include "src/codegen/peephole.h"
@@ -136,23 +135,22 @@ void LowerMicroBody(Emitter& e, const micro::Program& prog,
                     const MicroEnv& env, size_t count, int done) {
   const std::vector<micro::Insn>& code = prog.code();
   SPIN_ASSERT(count <= code.size());
-  // Labels for jump targets.
-  std::unordered_map<size_t, int> pc_labels;
+  // Labels for jump targets, indexed by target pc (-1: not a target).
+  std::vector<int> pc_labels(count + 1, -1);
   for (size_t i = 0; i < count; ++i) {
     const micro::Insn& insn = code[i];
     if (insn.op == micro::Op::kJz || insn.op == micro::Op::kJmp) {
       size_t target = static_cast<size_t>(insn.imm);
       SPIN_ASSERT(target <= count);
-      if (!pc_labels.count(target)) {
+      if (pc_labels[target] < 0) {
         pc_labels[target] = e.NewLabel();
       }
     }
   }
   auto R = [](uint8_t v) { return kVregMap[v]; };
   for (size_t i = 0; i < count; ++i) {
-    auto it = pc_labels.find(i);
-    if (it != pc_labels.end()) {
-      e.Bind(it->second);
+    if (pc_labels[i] >= 0) {
+      e.Bind(pc_labels[i]);
     }
     const micro::Insn& insn = code[i];
     switch (insn.op) {
@@ -227,11 +225,11 @@ void LowerMicroBody(Emitter& e, const micro::Program& prog,
         break;
       case micro::Op::kJz: {
         e.Emit({.op = LOp::kTestRegReg, .dst = R(insn.a), .src = R(insn.a)});
-        e.Jcc(Cond::kE, pc_labels.at(static_cast<size_t>(insn.imm)));
+        e.Jcc(Cond::kE, pc_labels[static_cast<size_t>(insn.imm)]);
         break;
       }
       case micro::Op::kJmp:
-        e.Jmp(pc_labels.at(static_cast<size_t>(insn.imm)));
+        e.Jmp(pc_labels[static_cast<size_t>(insn.imm)]);
         break;
       case micro::Op::kRet:
         e.MovRegReg(Reg::kRax, R(insn.a));
@@ -245,9 +243,8 @@ void LowerMicroBody(Emitter& e, const micro::Program& prog,
   }
   // A label may target the instruction one past the end (validator forbids
   // it, but be safe for the fusion path's truncated counts).
-  auto it = pc_labels.find(count);
-  if (it != pc_labels.end()) {
-    e.Bind(it->second);
+  if (pc_labels[count] >= 0) {
+    e.Bind(pc_labels[count]);
   }
 }
 
@@ -434,27 +431,25 @@ void EmitTreeSearch(Emitter& e, const std::vector<TreeCase>& cases,
 }  // namespace
 
 CompiledStub::CompiledStub(std::unique_ptr<CodeBuffer> buffer,
-                           std::string lir_text, size_t lir_insns,
-                           size_t peephole_rewrites)
+                           size_t lir_insns, size_t peephole_rewrites)
     : buffer_(std::move(buffer)),
-      lir_text_(std::move(lir_text)),
       lir_insns_(lir_insns),
       peephole_rewrites_(peephole_rewrites) {}
 
 std::unique_ptr<CompiledStub> CompiledStub::Clone() const {
   // The emitted code is position-independent: callee addresses are imm64
   // materializations called through a register, and every branch is an
-  // internal rel32 resolved at emission. A byte copy into fresh pages is
-  // therefore an exact replica. The source mapping is PROT_READ|PROT_EXEC,
-  // so reading it back is legal.
+  // internal rel32 resolved at emission. A byte copy into another slot is
+  // therefore an exact replica. The source slot is PROT_READ|PROT_EXEC, so
+  // reading it back is legal.
   const auto* code = static_cast<const uint8_t*>(buffer_->entry());
   std::vector<uint8_t> bytes(code, code + buffer_->code_size());
   auto buffer = CodeBuffer::Create(bytes);
   if (buffer == nullptr) {
     return nullptr;
   }
-  return std::make_unique<CompiledStub>(std::move(buffer), lir_text_,
-                                        lir_insns_, peephole_rewrites_);
+  return std::make_unique<CompiledStub>(std::move(buffer), lir_insns_,
+                                        peephole_rewrites_);
 }
 
 bool CodegenAvailable() {
@@ -571,18 +566,13 @@ std::unique_ptr<CompiledStub> CompileStub(const StubSpec& spec) {
   e.Emit({.op = LOp::kRet});
 
   size_t rewrites = spec.optimize ? Peephole(e.code) : 0;
-  std::string text;
-  for (const LInsn& insn : e.code) {
-    text += LInsnToString(insn);
-    text += '\n';
-  }
   std::vector<uint8_t> bytes = Encode(e.code);
   std::unique_ptr<CodeBuffer> buffer = CodeBuffer::Create(bytes);
   if (buffer == nullptr) {
     return nullptr;
   }
-  return std::make_unique<CompiledStub>(std::move(buffer), std::move(text),
-                                        e.code.size(), rewrites);
+  return std::make_unique<CompiledStub>(std::move(buffer), e.code.size(),
+                                        rewrites);
 }
 
 std::unique_ptr<CompiledMicro> CompileMicro(const micro::Program& prog,

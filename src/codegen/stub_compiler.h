@@ -93,15 +93,15 @@ struct StubSpec {
 
 class CompiledStub {
  public:
-  CompiledStub(std::unique_ptr<CodeBuffer> buffer, std::string lir_text,
-               size_t lir_insns, size_t peephole_rewrites);
+  CompiledStub(std::unique_ptr<CodeBuffer> buffer, size_t lir_insns,
+               size_t peephole_rewrites);
 
-  // Byte-copies the routine into a fresh executable mapping. The emitted
-  // code is position-independent (register-indirect calls, internal rel32
-  // branches only), so the copy is an exact functional replica; sharded
-  // dispatchers clone one compiled stub per shard so each shard's unrolled
-  // dispatch loop owns its own I-cache lines. Returns nullptr if the
-  // platform refuses a new executable mapping.
+  // Byte-copies the routine into another code slot. The emitted code is
+  // position-independent (register-indirect calls, internal rel32 branches
+  // only), so the copy is an exact functional replica; sharded dispatchers
+  // clone one compiled stub per shard so each shard's unrolled dispatch
+  // loop owns its own I-cache lines. Returns nullptr if the platform
+  // refuses more executable memory.
   std::unique_ptr<CompiledStub> Clone() const;
 
   DispatchStubFn entry() const {
@@ -109,13 +109,11 @@ class CompiledStub {
         const_cast<void*>(buffer_->entry()));
   }
   size_t code_size() const { return buffer_->code_size(); }
-  const std::string& lir_text() const { return lir_text_; }
   size_t lir_insns() const { return lir_insns_; }
   size_t peephole_rewrites() const { return peephole_rewrites_; }
 
  private:
   std::unique_ptr<CodeBuffer> buffer_;
-  std::string lir_text_;
   size_t lir_insns_;
   size_t peephole_rewrites_;
 };

@@ -15,13 +15,11 @@ namespace {
 
 void DeleteTable(void* p) { delete static_cast<DispatchTable*>(p); }
 
-size_t GuardListBytes(const std::vector<GuardClause>& guards) {
-  size_t bytes = 0;
-  for (const GuardClause& guard : guards) {
-    bytes += sizeof(GuardClause);
-    if (guard.prog) {
-      bytes += guard.prog->code().size() * sizeof(micro::Insn);
-    }
+// Bytes one guard charges against its binding owner's quota.
+size_t GuardBytes(const GuardClause& guard) {
+  size_t bytes = sizeof(GuardClause);
+  if (guard.prog) {
+    bytes += guard.prog->code().size() * sizeof(micro::Insn);
   }
   return bytes;
 }
@@ -38,30 +36,36 @@ bool SigJitable(const ProcSig& sig) {
   return sig.result.cls != TypeClass::kFloat64;
 }
 
-// Whether one callable (handler or guard) can participate in a generated
-// stub, possibly by compiling its micro-program out of line. May set
-// `compiled` (caller holds the dispatcher mutex).
+// Whether a stub can reach `clause` only through an out-of-line JIT body
+// that has not been compiled yet: a micro-program that is not inlined and
+// has no native entry.
 template <typename Clause>
-bool CallableJitable(Clause& clause, bool inline_micro, size_t num_args) {
-  bool has_native = clause.fn != nullptr;
-  bool has_prog = clause.prog.has_value() &&
-                  clause.prog->Validate() == micro::ValidateStatus::kOk;
+bool NeedsCompiledBody(const Clause& clause, bool inline_micro) {
+  return !inline_micro && clause.fn == nullptr && clause.prog.has_value() &&
+         clause.compiled == nullptr;
+}
+
+// Compiles the body NeedsCompiledBody asks for (caller holds the dispatcher
+// mutex). A program that cannot be compiled leaves `compiled` null.
+template <typename Clause>
+void CompileBodyIfNeeded(Clause& clause, bool inline_micro) {
+  if (NeedsCompiledBody(clause, inline_micro)) {
+    clause.compiled = codegen::CompileMicro(*clause.prog);
+  }
+}
+
+// Whether one callable (handler or guard) can participate in a generated
+// stub: inlined, called natively, or called through its compiled body.
+template <typename Clause>
+bool CallableJitable(const Clause& clause, bool inline_micro,
+                     size_t num_args) {
   if (clause.closure_form && num_args > 5) {
     return false;
   }
-  if (inline_micro && has_prog) {
-    return true;
-  }
-  if (has_native) {
-    return true;
-  }
-  if (has_prog) {
-    if (clause.compiled == nullptr) {
-      clause.compiled = codegen::CompileMicro(*clause.prog);
-    }
-    return clause.compiled != nullptr;
-  }
-  return false;
+  bool has_prog = clause.prog.has_value() &&
+                  clause.prog->Validate() == micro::ValidateStatus::kOk;
+  return (inline_micro && has_prog) || clause.fn != nullptr ||
+         (has_prog && clause.compiled != nullptr);
 }
 
 // Guard decision tree planning (§3.2 future work): if every sync binding
@@ -494,9 +498,7 @@ void Dispatcher::AddMicroGuard(const BindingHandle& binding,
     // back to interpretation.
     clause.compiled = codegen::CompileMicro(*clause.prog);
   }
-  std::vector<GuardClause> guards = binding->CopyGuards();
-  guards.push_back(std::move(clause));
-  ReplaceBindingGuardsLocked(binding, std::move(guards));
+  InsertGuard(binding, std::move(clause), /*front=*/false);
 }
 
 void Dispatcher::ImposeMicroGuard(const BindingHandle& binding,
@@ -516,9 +518,7 @@ void Dispatcher::ImposeMicroGuard(const BindingHandle& binding,
   if (mode == GuardCompileMode::kJit) {
     clause.compiled = codegen::CompileMicro(*clause.prog);
   }
-  std::vector<GuardClause> guards = binding->CopyGuards();
-  guards.insert(guards.begin(), std::move(clause));
-  ReplaceBindingGuardsLocked(binding, std::move(guards));
+  InsertGuard(binding, std::move(clause), /*front=*/true);
 }
 
 void Dispatcher::RemoveGuard(const BindingHandle& binding, size_t index,
@@ -542,9 +542,8 @@ void Dispatcher::RemoveGuard(const BindingHandle& binding, size_t index,
       throw InstallError(InstallStatus::kNotAuthorized, event.name());
     }
   }
-  size_t old_bytes = GuardListBytes(binding->guards());
+  quota_.Release(binding->owner, GuardBytes(guards[index]));
   guards.erase(guards.begin() + static_cast<ptrdiff_t>(index));
-  quota_.Release(binding->owner, old_bytes - GuardListBytes(guards));
   binding->ReplaceGuards(std::move(guards), *epoch_);
   RebuildLocked(event);
 }
@@ -644,8 +643,10 @@ void Dispatcher::DescribeAll(std::ostream& os) const {
   os << line;
 }
 
-void Dispatcher::ReplaceBindingGuardsLocked(const BindingHandle& binding,
-                                            std::vector<GuardClause> guards) {
+void Dispatcher::InsertGuard(const BindingHandle& binding, GuardClause clause,
+                             bool front) {
+  // Copy, insert and republish under one hold of mu_, so concurrent guard
+  // changes on the same binding each start from the other's result.
   std::lock_guard<std::mutex> lock(mu_);
   if (!binding->active.load(std::memory_order_acquire)) {
     throw InstallError(InstallStatus::kBindingInactive,
@@ -653,16 +654,11 @@ void Dispatcher::ReplaceBindingGuardsLocked(const BindingHandle& binding,
   }
   // Guard storage counts against the owner's quota (§2.6): without this an
   // extension could hoard memory by piling guards onto one binding.
-  size_t old_bytes = GuardListBytes(binding->guards());
-  size_t new_bytes = GuardListBytes(guards);
-  if (new_bytes > old_bytes) {
-    if (!quota_.Charge(binding->owner, new_bytes - old_bytes)) {
-      throw InstallError(InstallStatus::kQuotaExceeded,
-                         binding->event->name());
-    }
-  } else {
-    quota_.Release(binding->owner, old_bytes - new_bytes);
+  if (!quota_.Charge(binding->owner, GuardBytes(clause))) {
+    throw InstallError(InstallStatus::kQuotaExceeded, binding->event->name());
   }
+  std::vector<GuardClause> guards = binding->CopyGuards();
+  guards.insert(front ? guards.begin() : guards.end(), std::move(clause));
   binding->ReplaceGuards(std::move(guards), *epoch_);
   RebuildLocked(*binding->event);
 }
@@ -884,32 +880,40 @@ void Dispatcher::RebuildLocked(EventBase& event) {
     for (const BindingHandle& binding : table->sync_bindings) {
       // Guarded by mu_; compiled micro bodies are cached on the clauses.
       auto& mutable_binding = const_cast<Binding&>(*binding);
-      if (binding->ephemeral || binding->may_throw || binding->erased ||
-          !CallableJitable(mutable_binding, config_.inline_micro,
-                           num_args)) {
+      if (binding->ephemeral || binding->may_throw || binding->erased) {
+        jitable = false;
+        break;
+      }
+      CompileBodyIfNeeded(mutable_binding, config_.inline_micro);
+      if (!CallableJitable(*binding, config_.inline_micro, num_args)) {
         jitable = false;
         break;
       }
       // Published guard clauses are read lock-free by EvalGuards' compiled
       // fast path, so missing JIT bodies are compiled into a copy of the
       // list and republished through the epoch; raises in flight keep
-      // interpreting the retired list.
-      std::vector<GuardClause> guards = binding->CopyGuards();
-      bool compiled_any = false;
-      for (GuardClause& guard : guards) {
-        bool had_body = guard.compiled != nullptr;
+      // interpreting the retired list. A list that needs no body (every
+      // list while micro guards are inlined) is left as published.
+      const std::vector<GuardClause>& published = binding->guards();
+      if (std::any_of(published.begin(), published.end(),
+                      [&](const GuardClause& guard) {
+                        return NeedsCompiledBody(guard,
+                                                 config_.inline_micro);
+                      })) {
+        std::vector<GuardClause> guards = published;
+        for (GuardClause& guard : guards) {
+          CompileBodyIfNeeded(guard, config_.inline_micro);
+        }
+        mutable_binding.ReplaceGuards(std::move(guards), *epoch_);
+      }
+      for (const GuardClause& guard : binding->guards()) {
         if (!CallableJitable(guard, config_.inline_micro, num_args)) {
           jitable = false;
           break;
         }
-        compiled_any |= !had_body && guard.compiled != nullptr;
       }
       if (!jitable) {
         break;
-      }
-      if (compiled_any) {
-        const_cast<Binding&>(*binding).ReplaceGuards(std::move(guards),
-                                                     *epoch_);
       }
     }
   }

@@ -357,8 +357,11 @@ class Dispatcher {
   bool AuthorizeLocked(AuthRequest& request);
   void PlaceLocked(EventBase& event, const BindingHandle& binding,
                    const Order& order);
-  void ReplaceBindingGuardsLocked(const BindingHandle& binding,
-                                  std::vector<GuardClause> guards);
+  // Inserts `clause` at the front (imposed guards) or the back of the
+  // binding's guard list, charges its bytes to the owner's quota and
+  // rebuilds the event: the whole change under one hold of mu_.
+  void InsertGuard(const BindingHandle& binding, GuardClause clause,
+                   bool front);
   void CheckIsAuthorityOrAuthorized(EventBase& event, AuthOp op,
                                     const Module* requestor,
                                     void* credentials);
@@ -617,9 +620,7 @@ void Dispatcher::AddGuard(Event<R(A...)>& event, const BindingHandle& binding,
   GuardClause clause;
   clause.fn = reinterpret_cast<void*>(guard);
   clause.invoker = &GuardInvoke<bool(A...)>::Call;
-  std::vector<GuardClause> guards = binding->CopyGuards();
-  guards.push_back(std::move(clause));
-  ReplaceBindingGuardsLocked(binding, std::move(guards));
+  InsertGuard(binding, std::move(clause), /*front=*/false);
 }
 
 template <typename R, typename... A, typename C>
@@ -637,9 +638,7 @@ void Dispatcher::AddGuard(Event<R(A...)>& event, const BindingHandle& binding,
   clause.closure = closure;
   clause.closure_form = true;
   clause.invoker = &GuardInvokeClosure<bool(C*, A...)>::Call;
-  std::vector<GuardClause> guards = binding->CopyGuards();
-  guards.push_back(std::move(clause));
-  ReplaceBindingGuardsLocked(binding, std::move(guards));
+  InsertGuard(binding, std::move(clause), /*front=*/false);
 }
 
 template <typename R, typename... A, typename C>
@@ -659,9 +658,7 @@ void Dispatcher::ImposeGuard(Event<R(A...)>& event,
   clause.closure_form = true;
   clause.imposed = true;
   clause.invoker = &GuardInvokeClosure<bool(C*, A...)>::Call;
-  std::vector<GuardClause> guards = binding->CopyGuards();
-  guards.insert(guards.begin(), std::move(clause));
-  ReplaceBindingGuardsLocked(binding, std::move(guards));
+  InsertGuard(binding, std::move(clause), /*front=*/true);
 }
 
 template <typename R, typename... A>

@@ -4,12 +4,14 @@
 //    argument slots, result folding, and fired counting.
 #include <cstring>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/codegen/stub_compiler.h"
 #include "src/micro/interp.h"
 #include "src/micro/program.h"
+#include "x86_disasm.h"
 
 namespace spin {
 namespace codegen {
@@ -28,6 +30,16 @@ class JitTest : public ::testing::Test {
     }
   }
 };
+
+// Disassembles a stub's emitted bytes, one instruction per line.
+std::string Listing(const CompiledStub& stub) {
+  const auto* code = static_cast<const uint8_t*>(
+      reinterpret_cast<const void*>(stub.entry()));
+  std::string listing;
+  EXPECT_TRUE(testdisasm::Disassemble(code, stub.code_size(), &listing))
+      << listing;
+  return listing;
+}
 
 uint64_t CallMicro(const CompiledMicro& compiled, const uint64_t* args,
                    int n) {
@@ -395,7 +407,7 @@ TEST_F(JitTest, InlinedMicroGuardAndHandler) {
   auto stub = CompileStub(spec);
   ASSERT_NE(stub, nullptr);
   // Inlined: no call instructions for the guard/handler pair.
-  EXPECT_EQ(stub->lir_text().find("call"), std::string::npos);
+  EXPECT_EQ(Listing(*stub).find("call"), std::string::npos);
 
   RaiseFrame frame;
   stub->entry()(&frame);
@@ -425,7 +437,7 @@ TEST_F(JitTest, InliningDisabledFallsBackToCalls) {
   spec.bindings = {binding};
   auto stub = CompileStub(spec);
   ASSERT_NE(stub, nullptr);
-  EXPECT_NE(stub->lir_text().find("call"), std::string::npos);
+  EXPECT_NE(Listing(*stub).find("call"), std::string::npos);
   RaiseFrame frame;
   stub->entry()(&frame);
   EXPECT_EQ(frame.fired, 1u);

@@ -94,6 +94,65 @@ TEST(ConcurrencyTest, GuardImpositionDuringRaises) {
   dispatcher.epoch().Synchronize();
 }
 
+struct GuardGate {
+  int64_t min;
+};
+
+bool GateGuard(GuardGate* gate, int64_t a, int64_t) { return a >= gate->min; }
+
+TEST(ConcurrencyTest, ConcurrentGuardChangesOnOneBindingKeepEveryGuard) {
+  // One thread adds guards while another imposes them on the same binding.
+  // Each change must start from the list the other one published: a lost
+  // update would drop a guard, possibly an authority-imposed one.
+  constexpr int kRounds = 150;
+  for (bool jit : {true, false}) {
+    SCOPED_TRACE(jit ? "jit" : "nojit");
+    Module module("GuardRace");
+    Dispatcher::Config config;
+    config.enable_jit = jit;
+    Dispatcher dispatcher(config);
+    Event<int64_t(int64_t, int64_t)> event("GuardRace.Event", &module,
+                                           nullptr, &dispatcher);
+    auto target = dispatcher.InstallHandler(event, &AnchorHandler,
+                                            {.module = &module});
+    GuardGate gate{0};
+    std::thread adder([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        if (i % 2 == 0) {
+          dispatcher.AddGuard(event, target, &TrueGuard);
+        } else {
+          dispatcher.AddMicroGuard(target, micro::ReturnConst(2, 1, true));
+        }
+      }
+    });
+    std::thread imposer([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        if (i % 2 == 0) {
+          dispatcher.ImposeGuard(event, target, &GateGuard, &gate);
+        } else {
+          dispatcher.ImposeMicroGuard(target,
+                                      micro::ReturnConst(2, 1, true));
+        }
+      }
+    });
+    adder.join();
+    imposer.join();
+
+    ASSERT_EQ(dispatcher.GuardCount(target), 2u * kRounds);
+    {
+      EpochDomain::Guard epoch_guard(dispatcher.epoch());
+      const std::vector<GuardClause>& guards = target->guards();
+      for (size_t g = 0; g < guards.size(); ++g) {
+        // Imposed guards go to the front, added ones to the back.
+        EXPECT_EQ(guards[g].imposed, g < static_cast<size_t>(kRounds)) << g;
+      }
+    }
+    EXPECT_EQ(event.Raise(5, 0), 5);
+    gate.min = 6;  // every imposed GateGuard now rejects
+    EXPECT_THROW(event.Raise(5, 0), NoHandlerError);
+  }
+}
+
 TEST(ConcurrencyTest, ConcurrentRaisesOnManyEvents) {
   Module module("Many");
   Dispatcher dispatcher;
