@@ -1,6 +1,9 @@
 #include "src/core/dispatch_state.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 #include <optional>
 
 #include "src/core/dispatcher.h"
@@ -59,75 +62,170 @@ uint64_t Fold(const DispatchTable& table, uint64_t result, uint64_t current,
   return result;
 }
 
-void ScheduleAsyncBinding(const DispatchTable& table,
-                          const BindingHandle& binding,
-                          const RaiseFrame& frame, int num_args,
-                          const obs::TraceContext& span_ctx,
-                          uint64_t enqueue_ns) {
-  std::array<uint64_t, kMaxEventArgs> slots{};
-  for (int i = 0; i < num_args; ++i) {
-    slots[i] = frame.args[i];
+// The pool task of one async raise: a fixed-size record the pool stores in
+// place. With a list it runs the admitted handler bodies of one 64-binding
+// chunk of a table's async list, in dispatch order (a sync raise, §2.6);
+// without one it runs the whole dispatch of `event` (RaiseAsync), guards
+// included. Either way each unit of work is one traced handoff, and the
+// record's span ids form one block: unit k adopts span.span + k.
+struct AsyncTask {
+  std::shared_ptr<const AsyncBindingList> list;  // keeps the bindings alive
+  EventBase* event = nullptr;
+  uint64_t mask = 0;        // unit k is (*list)[first + k'th set bit]
+  uint32_t first = 0;
+  uint32_t shard = 0;       // the raising replica's shard (watchdog label)
+  uint64_t budget_ns = 0;   // EPHEMERAL budget of the raising table
+  uint64_t source = 0;      // raise source, re-installed on the pool side
+  uint64_t enqueue_ns = 0;  // traced handoffs: the enqueue clock read
+  obs::TraceContext span;   // sampling decision, and the base span id
+  uint64_t args[kMaxEventArgs] = {};
+
+  // Records what the pool side re-installs: the raise source, the sampling
+  // decision and, for a captured raise, one span per unit, each announced
+  // by a kAsyncEnqueue record (the flow start) before the pool runs it.
+  void Prepare(const RaiseFrame& frame, bool tracing) {
+    std::memcpy(args, frame.args, sizeof(args));
+    source = CurrentRaiseSource();
+    if (tracing) {
+      const obs::TraceContext& cur = obs::CurrentContext();
+      span = obs::TraceContext{
+          obs::NewSpanIds(static_cast<uint32_t>(std::popcount(mask))),
+          cur.span, cur.host, obs::SampleDecision::kTrace};
+      enqueue_ns = NowNs();
+      uint64_t id = span.span;
+      for (uint64_t bits = mask; bits != 0; bits &= bits - 1) {
+        obs::FlightRecorder::Global().EmitWith(
+            obs::TraceKind::kAsyncEnqueue, event->obs_name(), enqueue_ns,
+            first + std::countr_zero(bits), id++, span.parent);
+      }
+    } else if (obs::Enabled()) {
+      // Sampled out: hand the skip to the pool thread so it doesn't make a
+      // fresh top-level decision mid-tree.
+      span.decision = obs::SampleDecision::kSkip;
+    }
   }
-  uint64_t budget = table.ephemeral_budget_ns;
-  uint32_t shard = table.shard;
-  // The handler runs behind the raising source's own outbox (the pool queue
-  // indexed by this replica's shard) and keeps that source identity, so any
-  // events it raises in turn stay on the same shard.
-  uint64_t source = CurrentRaiseSource();
-  table.pool->SubmitTo(
-      shard,
-      [binding, slots, budget, span_ctx, source, shard,
-       enqueue_ns]() mutable {
-        RaiseSourceScope raise_source(source);
-        // Re-install the enqueue site's sampling decision before anything
-        // here can emit, so the handoff stays inside (or outside) the same
-        // sampled tree. An undecided context — tracing was off at enqueue
-        // time — is left undecided; a nested raise decides fresh.
-        std::optional<obs::SampleScope> sample;
-        if (span_ctx.decision != obs::SampleDecision::kUndecided) {
-          sample.emplace(span_ctx.decision);
-        }
-        const bool tracing = obs::Capturing();
-        // Adopt the span the enqueue site allocated for this handoff so
-        // kAsyncEnqueue (raising thread) and kAsyncExecute (this thread)
-        // stitch; this scope is the span's final executor.
-        std::optional<obs::SpanScope> span;
-        if (tracing && span_ctx.span != 0) {
-          span.emplace(span_ctx, /*complete_on_exit=*/true);
-        }
-        const bool timed = tracing || obs::WatchdogWantsTiming();
-        uint64_t start = timed ? NowNs() : 0;
-        if (tracing) {
-          obs::FlightRecorder::Global().EmitAt(
-              obs::TraceKind::kAsyncExecute, binding->event->obs_name(),
+
+  void operator()();
+  void RunBody(const Binding& binding, bool tracing, bool timed,
+               uint64_t start) const;
+};
+
+void AsyncTask::operator()() {
+  // The work runs behind the raising source's own outbox (the pool queue
+  // indexed by its shard) and keeps that source identity, so any events it
+  // raises in turn stay on the same shard.
+  RaiseSourceScope raise_source(source);
+  // Re-install the enqueue site's sampling decision before anything here
+  // can emit, so the handoff stays inside (or outside) the same sampled
+  // tree. An undecided context — tracing was off at enqueue time — is left
+  // undecided; a nested raise decides fresh.
+  std::optional<obs::SampleScope> sample;
+  if (span.decision != obs::SampleDecision::kUndecided) {
+    sample.emplace(span.decision);
+  }
+  const bool tracing = obs::Capturing();
+  const bool timed = tracing || obs::WatchdogWantsTiming();
+  const char* name = event->obs_name();
+  uint64_t span_id = span.span;
+  for (uint64_t bits = mask; bits != 0; bits &= bits - 1) {
+    uint64_t start = timed ? NowNs() : 0;
+    // Adopt the span the enqueue site allocated for this unit so
+    // kAsyncEnqueue (raising thread) and kAsyncExecute (this thread)
+    // stitch; this scope is the span's final executor.
+    std::optional<obs::SpanScope> adopted;
+    if (tracing && span_id != 0) {
+      adopted.emplace(obs::TraceContext{span_id++, span.parent, span.host,
+                                        span.decision},
+                      /*complete_on_exit=*/true);
+      obs::FlightRecorder::Global().EmitAt(obs::TraceKind::kAsyncExecute,
+                                           name, start);
+      // Queue wait: the enqueue site's clock read to this unit's start —
+      // the handoff cost the pool added.
+      obs::EmitPhaseSegment(obs::Phase::kQueueWait, name, enqueue_ns, start);
+    }
+    if (list == nullptr) {
+      RaiseFrame frame;
+      std::memcpy(frame.args, args, sizeof(args));
+      try {
+        event->RaiseErased(frame);
+      } catch (const DispatchError&) {
+        // Detached raise: errors have no raiser to land on.
+      }
+    } else {
+      RunBody(*(*list)[first + std::countr_zero(bits)], tracing, timed,
               start);
-          if (enqueue_ns != 0) {
-            // Queue wait: the enqueue site's clock read to this thread's
-            // execution start — the handoff cost the pool added.
-            obs::EmitPhaseSegment(obs::Phase::kQueueWait,
-                                  binding->event->obs_name(), enqueue_ns,
-                                  start);
-          }
-        }
-        uint64_t deadline =
-            binding->ephemeral && budget != 0 ? NowNs() + budget : 0;
-        uint64_t result = 0;
-        try {
-          obs::PhaseScope body_phase(obs::Phase::kHandlerBody,
-                                     binding->event->obs_name(), tracing);
-          RunHandler(*binding, slots.data(), &result, deadline);
-        } catch (const DispatchError&) {
-          // Detached execution: nobody to report to (§2.6).
-        }
-        if (timed) {
-          uint64_t elapsed = NowNs() - start;
-          obs::EventMetrics& metrics = binding->event->metrics();
-          metrics.Record(obs::DispatchKind::kAsync, elapsed);
-          obs::CheckDispatch(binding->event->obs_name(), shard, elapsed,
-                             metrics.slow_ns());
-        }
-      },
-      table.async_mode);
+    }
+  }
+}
+
+void AsyncTask::RunBody(const Binding& binding, bool tracing, bool timed,
+                        uint64_t start) const {
+  // Every body sees the arguments as raised, and its own EPHEMERAL deadline.
+  uint64_t slots[kMaxEventArgs];
+  std::memcpy(slots, args, sizeof(slots));
+  uint64_t deadline =
+      binding.ephemeral && budget_ns != 0 ? NowNs() + budget_ns : 0;
+  uint64_t result = 0;
+  try {
+    obs::PhaseScope body_phase(obs::Phase::kHandlerBody,
+                               binding.event->obs_name(), tracing);
+    RunHandler(binding, slots, &result, deadline);
+  } catch (const DispatchError&) {
+    // Detached execution: nobody to report to (§2.6). The raise's later
+    // bodies still run.
+  }
+  if (timed) {
+    uint64_t elapsed = NowNs() - start;
+    obs::EventMetrics& metrics = binding.event->metrics();
+    metrics.Record(obs::DispatchKind::kAsync, elapsed);
+    obs::CheckDispatch(binding.event->obs_name(), shard, elapsed,
+                       metrics.slow_ns());
+  }
+}
+
+// The async part of ExecuteTable, kept out of line so the sync raise path
+// stays as compact as an event without async handlers needs. Guards are
+// evaluated here, on the raising thread; each 64-binding chunk of the list
+// with an admitted handler becomes one pool task.
+[[gnu::noinline]] void ScheduleAsyncBindings(EventBase& event,
+                                             const DispatchTable& table,
+                                             RaiseFrame& frame,
+                                             bool tracing) {
+  const AsyncBindingList& list = *table.async_bindings;
+  for (size_t first = 0; first < list.size(); first += 64) {
+    const size_t end = std::min(list.size(), first + 64);
+    uint64_t mask = 0;
+    for (size_t i = first; i < end; ++i) {
+      bool admitted;
+      {
+        obs::PhaseScope guard_phase(obs::Phase::kGuardEval, event.obs_name(),
+                                    tracing);
+        admitted = EvalGuards(*list[i], frame.args);
+      }
+      if (admitted) {
+        mask |= uint64_t{1} << (i - first);
+      } else if (tracing) {
+        obs::FlightRecorder::Global().Emit(obs::TraceKind::kGuardReject,
+                                           event.obs_name(),
+                                           table.sync_bindings.size() + i);
+      }
+    }
+    if (mask == 0) {
+      continue;
+    }
+    frame.fired += static_cast<uint32_t>(std::popcount(mask));
+    AsyncTask task;
+    task.list = table.async_bindings;
+    task.event = &event;
+    task.mask = mask;
+    task.first = static_cast<uint32_t>(first);
+    task.shard = table.shard;
+    task.budget_ns = table.ephemeral_budget_ns;
+    task.Prepare(frame, tracing);
+    Dispatcher& dispatcher = event.owner();
+    dispatcher.pool().SubmitTo(table.shard, std::move(task),
+                               dispatcher.config().async_mode);
+  }
 }
 
 }  // namespace
@@ -223,7 +321,6 @@ bool RunHandler(const Binding& binding, uint64_t* slots, uint64_t* result,
 void ExecuteTable(EventBase& event, const DispatchTable& table,
                   RaiseFrame& frame) {
   frame.result = table.InitialResult();
-  int num_args = static_cast<int>(event.sig().params.size());
 
   const bool tracing = obs::Capturing();
 
@@ -285,42 +382,8 @@ void ExecuteTable(EventBase& event, const DispatchTable& table,
     }
   }
 
-  for (size_t i = 0; i < table.async_bindings.size(); ++i) {
-    const BindingHandle& binding = table.async_bindings[i];
-    bool admitted;
-    {
-      obs::PhaseScope guard_phase(obs::Phase::kGuardEval, event.obs_name(),
-                                  tracing);
-      admitted = EvalGuards(*binding, frame.args);
-    }
-    if (!admitted) {
-      if (tracing) {
-        obs::FlightRecorder::Global().Emit(obs::TraceKind::kGuardReject,
-                                           event.obs_name(),
-                                           table.sync_bindings.size() + i);
-      }
-      continue;
-    }
-    obs::TraceContext span_ctx{};
-    uint64_t enqueue_ns = 0;
-    if (tracing) {
-      // Pre-allocate the handoff's span here so the enqueue record can
-      // announce it (the flow start) before the pool thread exists.
-      const obs::TraceContext& cur = obs::CurrentContext();
-      span_ctx = obs::TraceContext{obs::NewSpanId(), cur.span, cur.host,
-                                   obs::SampleDecision::kTrace};
-      enqueue_ns = NowNs();
-      obs::FlightRecorder::Global().EmitWith(
-          obs::TraceKind::kAsyncEnqueue, event.obs_name(), enqueue_ns, i,
-          span_ctx.span, span_ctx.parent);
-    } else if (obs::Enabled()) {
-      // This raise was sampled out: hand the skip to the pool thread so it
-      // doesn't make a fresh top-level decision mid-tree.
-      span_ctx.decision = obs::SampleDecision::kSkip;
-    }
-    ScheduleAsyncBinding(table, binding, frame, num_args, span_ctx,
-                         enqueue_ns);
-    ++frame.fired;
+  if (table.async_bindings != nullptr) {
+    ScheduleAsyncBindings(event, table, frame, tracing);
   }
 
   if (frame.fired == 0) {
@@ -399,17 +462,7 @@ void EventBase::RaiseErased(RaiseFrame& frame) {
 }
 
 void EventBase::RaiseAsyncErased(const RaiseFrame& frame) {
-  ThreadPool* pool = nullptr;
-  AsyncMode mode = AsyncMode::kPooled;
-  const uint32_t nshards = owner_->shard_count();
-  const uint32_t shard =
-      nshards > 1 ? ShardFor(CurrentRaiseSource(), nshards) : 0;
-  {
-    EpochDomain::Guard guard(owner_->shard_epoch(shard));
-    DispatchTable* table = table_slot(shard).load(std::memory_order_acquire);
-    pool = table->pool;
-    mode = table->async_mode;
-  }
+  Dispatcher& dispatcher = *owner_;
   // A detached raise is its own top level: decide here, at the enqueue
   // site, so the kAsyncEnqueue record and the pool-side execution agree on
   // whether the tree is sampled.
@@ -418,50 +471,17 @@ void EventBase::RaiseAsyncErased(const RaiseFrame& frame) {
       obs::CurrentContext().decision == obs::SampleDecision::kUndecided) {
     sample.emplace(obs::DecideTopLevel());
   }
-  obs::TraceContext span_ctx{};
-  uint64_t enqueue_ns = 0;
-  if (obs::Capturing()) {
-    const obs::TraceContext& cur = obs::CurrentContext();
-    span_ctx = obs::TraceContext{obs::NewSpanId(), cur.span, cur.host,
-                                 obs::SampleDecision::kTrace};
-    enqueue_ns = NowNs();
-    obs::FlightRecorder::Global().EmitWith(obs::TraceKind::kAsyncEnqueue,
-                                           obs_name_, enqueue_ns, 0,
-                                           span_ctx.span, span_ctx.parent);
-  } else if (obs::Enabled()) {
-    span_ctx.decision = obs::SampleDecision::kSkip;
-  }
-  RaiseFrame copy = frame;
   // The detached dispatch runs behind the source's outbox and re-raises
   // with the same source identity, so it lands on the same shard replica
   // the synchronous path would have used.
-  uint64_t source = CurrentRaiseSource();
-  pool->SubmitTo(
-      shard,
-      [this, copy, span_ctx, source, enqueue_ns]() mutable {
-        RaiseSourceScope raise_source(source);
-        std::optional<obs::SampleScope> sample;
-        if (span_ctx.decision != obs::SampleDecision::kUndecided) {
-          sample.emplace(span_ctx.decision);
-        }
-        std::optional<obs::SpanScope> span;
-        if (obs::Capturing() && span_ctx.span != 0) {
-          span.emplace(span_ctx, /*complete_on_exit=*/true);
-          uint64_t exec_ns = NowNs();
-          obs::FlightRecorder::Global().EmitAt(obs::TraceKind::kAsyncExecute,
-                                               obs_name_, exec_ns);
-          if (enqueue_ns != 0) {
-            obs::EmitPhaseSegment(obs::Phase::kQueueWait, obs_name_,
-                                  enqueue_ns, exec_ns);
-          }
-        }
-        try {
-          RaiseErased(copy);
-        } catch (const DispatchError&) {
-          // Detached raise: errors have no raiser to land on.
-        }
-      },
-      mode);
+  const uint32_t nshards = dispatcher.shard_count();
+  AsyncTask task;
+  task.event = this;
+  task.mask = 1;
+  task.shard = nshards > 1 ? ShardFor(CurrentRaiseSource(), nshards) : 0;
+  task.Prepare(frame, obs::Capturing());
+  dispatcher.pool().SubmitTo(task.shard, std::move(task),
+                             dispatcher.config().async_mode);
 }
 
 bool EventBase::has_default_handler() const {
@@ -473,7 +493,9 @@ bool EventBase::has_default_handler() const {
 size_t EventBase::handler_count() const {
   EpochDomain::Guard guard(owner_->epoch());
   DispatchTable* table = table_.load(std::memory_order_acquire);
-  return table->sync_bindings.size() + table->async_bindings.size();
+  return table->sync_bindings.size() +
+         (table->async_bindings != nullptr ? table->async_bindings->size()
+                                           : 0);
 }
 
 size_t EventBase::guard_count() const {
@@ -483,8 +505,10 @@ size_t EventBase::guard_count() const {
   for (const auto& b : table->sync_bindings) {
     count += b->guards().size();
   }
-  for (const auto& b : table->async_bindings) {
-    count += b->guards().size();
+  if (table->async_bindings != nullptr) {
+    for (const auto& b : *table->async_bindings) {
+      count += b->guards().size();
+    }
   }
   return count;
 }

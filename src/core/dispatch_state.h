@@ -27,7 +27,6 @@
 #include "src/codegen/stub_compiler.h"
 #include "src/core/binding.h"
 #include "src/obs/obs.h"
-#include "src/rt/thread_pool.h"
 #include "src/types/module.h"
 #include "src/types/signature.h"
 
@@ -44,12 +43,18 @@ using ResultPolicy = codegen::ResultPolicy;
 using ResultFold = uint64_t (*)(void* ctx, uint64_t result, uint64_t current,
                                 uint32_t index);
 
+// A table's async handlers in dispatch order. The list is immutable once
+// published; every shard replica of one table generation shares it, and
+// each queued async task holds one reference to it.
+using AsyncBindingList = std::vector<BindingHandle>;
+
 struct DispatchTable {
   // Handlers in dispatch order. Sync handlers execute inline (via the stub
   // when one was generated); async handlers have their guards evaluated
-  // inline and their bodies scheduled on the pool (§2.6).
+  // inline and their admitted bodies handed to the pool as one task per
+  // raise (§2.6). async_bindings is null when the event has none.
   std::vector<BindingHandle> sync_bindings;
-  std::vector<BindingHandle> async_bindings;
+  std::shared_ptr<const AsyncBindingList> async_bindings;
   BindingHandle default_handler;  // runs only when nothing else fired
 
   ResultPolicy policy = ResultPolicy::kNone;
@@ -62,9 +67,6 @@ struct DispatchTable {
 
   // Generated dispatch routine covering sync_bindings (null => interpret).
   std::unique_ptr<codegen::CompiledStub> stub;
-
-  AsyncMode async_mode = AsyncMode::kPooled;
-  ThreadPool* pool = nullptr;
 
   // Which shard this replica serves: async work it schedules goes to the
   // pool queue of the same index, keeping a source's async handlers behind
@@ -220,9 +222,8 @@ class EventBase {
   bool hot_ = false;  // guarded by the dispatcher's mutex
 };
 
-// Executes one dispatch against `table`. Declared here (implemented in
-// dispatch_state.cc) so both the raise path and the async redispatch share
-// it.
+// Executes one dispatch against `table`. Admitted async handlers count as
+// fired; their bodies run later on the pool.
 void ExecuteTable(EventBase& event, const DispatchTable& table,
                   RaiseFrame& frame);
 

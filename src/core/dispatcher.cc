@@ -15,6 +15,25 @@ namespace {
 
 void DeleteTable(void* p) { delete static_cast<DispatchTable*>(p); }
 
+void DeleteGuards(void* p) {
+  delete static_cast<std::vector<GuardClause>*>(p);
+}
+
+// A guard list retired into several epoch domains at once: each domain's
+// grace period drops one count, and the last one frees the list.
+struct SharedGuardRetire {
+  std::atomic<uint32_t> left;
+  std::vector<GuardClause>* guards;
+
+  static void Release(void* p) {
+    auto* self = static_cast<SharedGuardRetire*>(p);
+    if (self->left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      DeleteGuards(self->guards);
+      delete self;
+    }
+  }
+};
+
 // Bytes one guard charges against its binding owner's quota.
 size_t GuardBytes(const GuardClause& guard) {
   size_t bytes = sizeof(GuardClause);
@@ -544,7 +563,7 @@ void Dispatcher::RemoveGuard(const BindingHandle& binding, size_t index,
   }
   quota_.Release(binding->owner, GuardBytes(guards[index]));
   guards.erase(guards.begin() + static_cast<ptrdiff_t>(index));
-  binding->ReplaceGuards(std::move(guards), *epoch_);
+  ReplaceGuardsLocked(*binding, std::move(guards));
   RebuildLocked(event);
 }
 
@@ -583,12 +602,16 @@ std::string Dispatcher::Describe(EventBase& event) const {
   for (const auto& binding : table->sync_bindings) {
     guards += binding->guards().size();
   }
-  for (const auto& binding : table->async_bindings) {
-    guards += binding->guards().size();
+  size_t async_handlers = 0;
+  if (table->async_bindings != nullptr) {
+    async_handlers = table->async_bindings->size();
+    for (const auto& binding : *table->async_bindings) {
+      guards += binding->guards().size();
+    }
   }
   std::snprintf(line, sizeof(line),
                 "  handlers: %zu sync, %zu async, %s default; guards: %zu\n",
-                table->sync_bindings.size(), table->async_bindings.size(),
+                table->sync_bindings.size(), async_handlers,
                 table->default_handler != nullptr ? "1" : "no", guards);
   out += line;
   if (table->stub != nullptr) {
@@ -659,8 +682,21 @@ void Dispatcher::InsertGuard(const BindingHandle& binding, GuardClause clause,
   }
   std::vector<GuardClause> guards = binding->CopyGuards();
   guards.insert(front ? guards.begin() : guards.end(), std::move(clause));
-  binding->ReplaceGuards(std::move(guards), *epoch_);
+  ReplaceGuardsLocked(*binding, std::move(guards));
   RebuildLocked(*binding->event);
+}
+
+void Dispatcher::ReplaceGuardsLocked(Binding& binding,
+                                     std::vector<GuardClause> guards) {
+  std::vector<GuardClause>* old = binding.SwapGuards(std::move(guards));
+  if (shard_count_ == 1) {
+    epoch_->Retire(old, &DeleteGuards);
+    return;
+  }
+  auto* retire = new SharedGuardRetire{{shard_count_}, old};
+  for (uint32_t s = 0; s < shard_count_; ++s) {
+    shards_[s].epoch->Retire(retire, &SharedGuardRetire::Release);
+  }
 }
 
 void Dispatcher::Uninstall(const BindingHandle& binding,
@@ -827,8 +863,6 @@ Dispatcher::Stats Dispatcher::stats() const {
 
 void Dispatcher::RebuildLocked(EventBase& event) {
   auto table = std::make_unique<DispatchTable>();
-  table->pool = pool_;
-  table->async_mode = config_.async_mode;
   table->returns_value = event.sig().result.cls != TypeClass::kVoid;
   table->result_is_bool = event.sig().result.cls == TypeClass::kBool;
   table->policy = table->returns_value ? event.policy_ : ResultPolicy::kNone;
@@ -838,12 +872,17 @@ void Dispatcher::RebuildLocked(EventBase& event) {
   table->ephemeral_budget_ns = event.ephemeral_budget_ns_;
   table->version = ++event.version_;
 
+  AsyncBindingList async_bindings;
   for (const BindingHandle& binding : event.order_list) {
     if (!binding->active.load(std::memory_order_acquire)) {
       continue;
     }
-    (binding->async ? table->async_bindings : table->sync_bindings)
+    (binding->async ? async_bindings : table->sync_bindings)
         .push_back(binding);
+  }
+  if (!async_bindings.empty()) {
+    table->async_bindings =
+        std::make_shared<const AsyncBindingList>(std::move(async_bindings));
   }
 
   // --- D1: intrinsic-bypass direct call --------------------------------
@@ -852,7 +891,7 @@ void Dispatcher::RebuildLocked(EventBase& event) {
   // the bypass itself is suppressed for measurement fidelity.
   void* direct_candidate = nullptr;
   if (config_.allow_direct && !event.async_event() &&
-      table->async_bindings.empty() && table->sync_bindings.size() == 1 &&
+      table->async_bindings == nullptr && table->sync_bindings.size() == 1 &&
       table->custom_fold == nullptr) {
     const Binding& only = *table->sync_bindings[0];
     if (only.fn != nullptr && !only.closure_form && !only.erased &&
@@ -904,7 +943,7 @@ void Dispatcher::RebuildLocked(EventBase& event) {
         for (GuardClause& guard : guards) {
           CompileBodyIfNeeded(guard, config_.inline_micro);
         }
-        mutable_binding.ReplaceGuards(std::move(guards), *epoch_);
+        ReplaceGuardsLocked(mutable_binding, std::move(guards));
       }
       for (const GuardClause& guard : binding->guards()) {
         if (!CallableJitable(guard, config_.inline_micro, num_args)) {
@@ -1006,8 +1045,6 @@ void Dispatcher::RebuildLocked(EventBase& event) {
     replica->returns_value = table->returns_value;
     replica->result_is_bool = table->result_is_bool;
     replica->ephemeral_budget_ns = table->ephemeral_budget_ns;
-    replica->async_mode = table->async_mode;
-    replica->pool = table->pool;
     replica->shard = s;
     replica->lazy_pending = table->lazy_pending;
     replica->obs_kind = table->obs_kind;

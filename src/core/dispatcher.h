@@ -362,6 +362,10 @@ class Dispatcher {
   // rebuilds the event: the whole change under one hold of mu_.
   void InsertGuard(const BindingHandle& binding, GuardClause clause,
                    bool front);
+  // Publishes `guards` as the binding's guard list. The old list is freed
+  // once every shard's epoch domain has passed a grace period: a raise on
+  // any shard may be walking it.
+  void ReplaceGuardsLocked(Binding& binding, std::vector<GuardClause> guards);
   void CheckIsAuthorityOrAuthorized(EventBase& event, AuthOp op,
                                     const Module* requestor,
                                     void* credentials);

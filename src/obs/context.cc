@@ -66,9 +66,11 @@ SampleScope::SampleScope(SampleDecision decision)
 
 SampleScope::~SampleScope() { t_context.decision = saved_; }
 
-uint64_t NewSpanId() {
-  g_spans_started.fetch_add(1, std::memory_order_relaxed);
-  return g_next_span.fetch_add(1, std::memory_order_relaxed);
+uint64_t NewSpanId() { return NewSpanIds(1); }
+
+uint64_t NewSpanIds(uint32_t count) {
+  g_spans_started.fetch_add(count, std::memory_order_relaxed);
+  return g_next_span.fetch_add(count, std::memory_order_relaxed);
 }
 
 SpanScope::SpanScope() : saved_(t_context), complete_(true) {

@@ -82,6 +82,11 @@ class SampleScope {
 // (SpanScope does both ends automatically).
 uint64_t NewSpanId();
 
+// Allocates `count` consecutive span ids and counts them all as started;
+// returns the first. An async handoff announces one block per raise, so
+// its pool task carries only the base id.
+uint64_t NewSpanIds(uint32_t count);
+
 // RAII span entry/exit. The default constructor opens a child of whatever
 // span is active (a root span when none is); the adopting constructor
 // installs a context produced elsewhere — an async enqueue site or a

@@ -6,6 +6,38 @@
 
 namespace spin {
 
+namespace {
+// Records a queue's ring holds before its first doubling.
+constexpr size_t kInitialRingRecords = 64;
+}  // namespace
+
+void ThreadPool::TaskRing::PushBack(Task&& task) {
+  if (tail_ - head_ == capacity_) {
+    Grow();
+  }
+  slots_[tail_++ & (capacity_ - 1)] = std::move(task);
+}
+
+void ThreadPool::TaskRing::PopFront(Task* out) {
+  *out = std::move(slots_[head_++ & (capacity_ - 1)]);
+}
+
+void ThreadPool::TaskRing::PopBack(Task* out) {
+  *out = std::move(slots_[--tail_ & (capacity_ - 1)]);
+}
+
+void ThreadPool::TaskRing::Grow() {
+  const size_t grown = capacity_ == 0 ? kInitialRingRecords : capacity_ * 2;
+  auto slots = std::make_unique<Task[]>(grown);
+  for (size_t i = 0; i < capacity_; ++i) {
+    slots[i] = std::move(slots_[(head_ + i) & (capacity_ - 1)]);
+  }
+  slots_ = std::move(slots);
+  head_ = 0;
+  tail_ = capacity_;
+  capacity_ = grown;
+}
+
 ThreadPool::ThreadPool(size_t workers) {
   if (workers == 0) {
     workers = 2;
@@ -44,15 +76,24 @@ ThreadPool& ThreadPool::Global() {
   return *pool;
 }
 
-void ThreadPool::Spawn(std::function<void()> task) {
+void ThreadPool::Post(size_t queue, Task&& task, AsyncMode mode) {
+  if (mode == AsyncMode::kSpawn) {
+    Spawn(std::move(task));
+  } else {
+    Enqueue(queue, std::move(task));
+  }
+}
+
+void ThreadPool::Spawn(Task&& task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     SPIN_ASSERT(!shutdown_);
     in_flight_.fetch_add(1, std::memory_order_relaxed);
     spawn_live_.fetch_add(1, std::memory_order_relaxed);
   }
-  std::thread([this, task = std::move(task)] {
+  std::thread([this, task = std::move(task)]() mutable {
     task();
+    task.Reset();
     executed_.fetch_add(1, std::memory_order_relaxed);
     FinishTask();
     // Last touch of the pool: after this store the destructor may proceed.
@@ -60,52 +101,46 @@ void ThreadPool::Spawn(std::function<void()> task) {
   }).detach();
 }
 
-void ThreadPool::Enqueue(size_t index, std::function<void()> task) {
+void ThreadPool::Enqueue(size_t index, Task&& task) {
   Queue& q = *queues_[index % queues_.size()];
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(q.mu);
-    q.tasks.push_back(std::move(task));
+    q.tasks.PushBack(std::move(task));
     q.depth.fetch_add(1, std::memory_order_relaxed);
   }
-  // seq_cst pairs with the sleeper's seq_cst recheck of queued_: either the
-  // going-to-sleep worker observes our task, or we observe it sleeping.
+  // Publish the task before reading who is searching: a worker that stops
+  // searching after this increment re-checks queued_ before it parks.
   queued_.fetch_add(1, std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    // Lock so the notify cannot slip between a sleeper's recheck and its
-    // wait; uncontended when no worker is going to sleep right now.
-    { std::lock_guard<std::mutex> lock(mu_); }
-    wake_.notify_one();
-  }
+  WakeIfNoneSearching();
 }
 
-void ThreadPool::Submit(std::function<void()> task, AsyncMode mode) {
-  if (mode == AsyncMode::kSpawn) {
-    Spawn(std::move(task));
+void ThreadPool::WakeIfNoneSearching() {
+  if (searching_.load(std::memory_order_seq_cst) != 0 ||
+      sleepers_.load(std::memory_order_seq_cst) == 0 ||
+      wake_pending_.load(std::memory_order_seq_cst)) {
     return;
   }
-  Enqueue(next_queue_.fetch_add(1, std::memory_order_relaxed),
-          std::move(task));
-}
-
-void ThreadPool::SubmitTo(size_t queue, std::function<void()> task,
-                          AsyncMode mode) {
-  if (mode == AsyncMode::kSpawn) {
-    Spawn(std::move(task));
-    return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Under mu_ a counted sleeper is inside wake_.wait, so some worker
+    // returns from it after this store and clears the flag again.
+    if (wake_pending_.load(std::memory_order_seq_cst) ||
+        sleepers_.load(std::memory_order_seq_cst) == 0) {
+      return;
+    }
+    wake_pending_.store(true, std::memory_order_seq_cst);
   }
-  Enqueue(queue, std::move(task));
+  wake_.notify_one();
 }
 
-bool ThreadPool::TryPop(size_t index, std::function<void()>* task,
-                        size_t* from) {
+bool ThreadPool::TryPop(size_t index, Task* task, size_t* from) {
   const size_t n = queues_.size();
   Queue& own = *queues_[index];
   {
     std::lock_guard<std::mutex> lock(own.mu);
     if (!own.tasks.empty()) {
-      *task = std::move(own.tasks.front());
-      own.tasks.pop_front();
+      own.tasks.PopFront(task);
       own.depth.fetch_sub(1, std::memory_order_relaxed);
       *from = index;
       return true;
@@ -122,8 +157,7 @@ bool ThreadPool::TryPop(size_t index, std::function<void()>* task,
     if (victim.tasks.empty()) {
       continue;
     }
-    *task = std::move(victim.tasks.back());
-    victim.tasks.pop_back();
+    victim.tasks.PopBack(task);
     victim.depth.fetch_sub(1, std::memory_order_relaxed);
     victim.stolen.fetch_add(1, std::memory_order_relaxed);
     steals_.fetch_add(1, std::memory_order_relaxed);
@@ -143,24 +177,38 @@ void ThreadPool::FinishTask() {
 }
 
 void ThreadPool::WorkerLoop(size_t index) {
+  searching_.fetch_add(1, std::memory_order_seq_cst);
+  Task task;
   while (true) {
-    std::function<void()> task;
     size_t from = index;
     if (TryPop(index, &task, &from)) {
-      queued_.fetch_sub(1, std::memory_order_relaxed);
+      queued_.fetch_sub(1, std::memory_order_seq_cst);
+      // The last searcher hands the search on before it runs its task, so
+      // queued work never waits behind a long task while a peer sleeps.
+      if (searching_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+          queued_.load(std::memory_order_seq_cst) > 0) {
+        WakeIfNoneSearching();
+      }
       task();
-      task = nullptr;  // release captures before accounting the finish
+      task.Reset();  // release captures before accounting the finish
       executed_.fetch_add(1, std::memory_order_relaxed);
       queues_[from]->executed.fetch_add(1, std::memory_order_relaxed);
       FinishTask();
+      searching_.fetch_add(1, std::memory_order_seq_cst);
       continue;
     }
     std::unique_lock<std::mutex> lock(mu_);
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    wake_.wait(lock, [this] {
-      return shutdown_ || queued_.load(std::memory_order_seq_cst) > 0;
-    });
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    searching_.fetch_sub(1, std::memory_order_seq_cst);
+    while (!shutdown_ && queued_.load(std::memory_order_seq_cst) == 0) {
+      wake_.wait(lock);
+      // Every return absorbs the pending wake, also when this worker parks
+      // again because a peer took the task: a flag left set would stop
+      // every later submit from waking anyone.
+      wake_pending_.store(false, std::memory_order_seq_cst);
+    }
+    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+    searching_.fetch_add(1, std::memory_order_seq_cst);
     if (shutdown_ && queued_.load(std::memory_order_relaxed) == 0) {
       return;
     }

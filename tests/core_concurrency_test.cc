@@ -94,6 +94,62 @@ TEST(ConcurrencyTest, GuardImpositionDuringRaises) {
   dispatcher.epoch().Synchronize();
 }
 
+TEST(ConcurrencyTest, GuardChurnAcrossShardsFreesNoListInUse) {
+  // An interpreted raise on shard k walks its binding's guard list while
+  // holding only shard k's epoch guard. A replaced list may therefore be
+  // freed only after every shard's domain has passed a grace period; under
+  // ASan, freeing it after shard 0's alone is a heap-use-after-free in
+  // EvalGuards.
+  Module module("ShardGuardChurn");
+  Dispatcher::Config config;
+  config.shards = 4;
+  config.enable_jit = false;
+  Dispatcher dispatcher(config);
+  Event<int64_t(int64_t, int64_t)> event("ShardGuardChurn.Event", &module,
+                                         nullptr, &dispatcher);
+  dispatcher.InstallHandler(event, &AnchorHandler, {.module = &module});
+  auto target = dispatcher.InstallHandler(event, &CountingHandler,
+                                          {.module = &module});
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> raisers;
+  for (uint64_t strand = 0; strand < 4; ++strand) {
+    raisers.emplace_back([&, strand] {
+      // Strands 0-3 hash to shards other than 0.
+      RaiseSourceScope source(MakeRaiseSource(SourceKind::kStrand, strand));
+      started.fetch_add(1);
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (event.Raise(1, 2) != 1) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  while (started.load() < 4) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < 2000; ++i) {
+    dispatcher.AddGuard(event, target, &TrueGuard);
+    dispatcher.AddMicroGuard(target, micro::ReturnConst(2, 1, true));
+    dispatcher.RemoveGuard(target, 0, &module);
+    dispatcher.RemoveGuard(target, 0, &module);
+  }
+  stop.store(true);
+  for (std::thread& t : raisers) {
+    t.join();
+  }
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(dispatcher.GuardCount(target), 0u);
+  uint64_t off_shard0 = 0;
+  for (uint32_t s = 1; s < dispatcher.shard_count(); ++s) {
+    off_shard0 += dispatcher.shard_raises(s);
+  }
+  EXPECT_GT(off_shard0, 0u) << "the raisers must exercise shards 1..3";
+  dispatcher.SynchronizeAllShards();
+}
+
 struct GuardGate {
   int64_t min;
 };
