@@ -3,8 +3,7 @@
 // Runs the src/fleet driver over a grid of (stack, loss rate): 100 host
 // pairs (200 hosts), 20 connections each (2000 concurrent connections),
 // one virtual second of open-loop request/response traffic per cell. Each
-// run gets a fresh sharded dispatcher so the fleet's per-connection raise
-// sources actually spread.
+// cell gets a fresh dispatcher, so no cell pays for another's bindings.
 //
 // The headline contrast is at 5% loss: stop_and_wait pays a full RTO
 // (50 ms here) for every lost segment, while reno and rack_lite recover
@@ -34,9 +33,7 @@ namespace {
 
 std::string RunCell(const std::string& stack, double loss, bool smoke,
                     uint32_t trace_sample_rate = 0) {
-  spin::Dispatcher::Config config;
-  config.shards = 8;
-  spin::Dispatcher dispatcher(config);
+  spin::Dispatcher dispatcher;
 
   spin::fleet::FleetOptions options;
   options.pairs = smoke ? 4 : 100;

@@ -15,10 +15,9 @@
 //
 // The shape to reproduce: dispatch cost grows linearly with handler count;
 // inlining wins by 2-5x; the intrinsic case is an ordinary procedure call.
-// Beyond Table 1, this binary measures the sharded dispatcher ("RSS for
-// events"): a threads x handlers matrix of aggregate raise throughput,
-// sync and async, at shards=1 (the historical single-replica layout) and
-// sharded. `bench_table1_dispatch [--matrix-only] [out.json]` writes the
+// Beyond Table 1, this binary measures how dispatch scales with raiser
+// threads: a threads x handlers matrix of aggregate raise throughput, sync
+// and async. `bench_table1_dispatch [--matrix-only] [out.json]` writes the
 // matrix as BENCH_dispatch.json for trend tracking in CI.
 #include <algorithm>
 #include <atomic>
@@ -31,7 +30,6 @@
 
 #include "bench/bench_util.h"
 #include "src/core/dispatcher.h"
-#include "src/core/shard.h"
 
 namespace spin {
 namespace {
@@ -121,39 +119,36 @@ bench::LatencyStats IntrinsicStats(const Module& module,
   return Runner<Sig>::MeasureRaiseStats(event);
 }
 
-// --- Shard-scaling matrix -------------------------------------------------
+// --- Scaling matrix ------------------------------------------------------
 //
-// threads x handlers aggregate throughput, sync and async, shards=1 vs
-// sharded. Each raiser thread pins a distinct strand identity so the source
-// hash routes it to a stable shard (replica + outbox + stub copy).
+// threads x handlers aggregate throughput, sync and async. Sync raisers all
+// read the event's one table; async raisers each submit to their own home
+// queue of a 16-worker pool.
 
-constexpr uint32_t kMatrixShards = 16;
+constexpr size_t kMatrixPoolWorkers = 16;
 
 void MatrixSink(int64_t a) { benchmark::DoNotOptimize(g_sink += a); }
 
 struct MatrixRow {
   const char* mode;  // "sync" | "async"
-  uint32_t shards;
   int threads;
   int handlers;
   double raises_per_sec;
   double ns_per_raise;
 };
 
-// Runs `threads` raisers, each pinned to its own strand source, against a
-// fresh dispatcher; returns aggregate throughput over the timed region.
+// Runs `threads` raisers against a fresh dispatcher; returns aggregate
+// throughput over the timed region.
 template <typename RaiseBody>
-MatrixRow MeasureMatrixCell(const char* mode, uint32_t shards, int threads,
-                            int handlers, size_t iters,
-                            Event<void(int64_t)>& event, RaiseBody body) {
+MatrixRow MeasureMatrixCell(const char* mode, int threads, int handlers,
+                            size_t iters, Event<void(int64_t)>& event,
+                            RaiseBody body) {
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
   std::vector<std::thread> raisers;
   raisers.reserve(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t) {
-    raisers.emplace_back([&, t] {
-      RaiseSourceScope source(
-          MakeRaiseSource(SourceKind::kStrand, static_cast<uint64_t>(t)));
+    raisers.emplace_back([&] {
       ready.fetch_add(1);
       while (!go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
@@ -171,20 +166,16 @@ MatrixRow MeasureMatrixCell(const char* mode, uint32_t shards, int threads,
   for (std::thread& t : raisers) {
     t.join();
   }
-  body();  // mode-specific settle step (e.g. drain the async outboxes)
+  body();  // mode-specific settle step (e.g. drain the pool)
   double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   double total = static_cast<double>(iters) * threads;
-  return {mode,         shards,
-          threads,      handlers,
-          total / secs, secs * 1e9 / total};
+  return {mode, threads, handlers, total / secs, secs * 1e9 / total};
 }
 
-MatrixRow SyncMatrixCell(const Module& module, int threads, int handlers,
-                         uint32_t shards) {
+MatrixRow SyncMatrixCell(const Module& module, int threads, int handlers) {
   Dispatcher::Config config;
-  config.shards = shards;
   config.allow_direct = false;  // measure the table path, not the bypass
   Dispatcher dispatcher(config);
   Event<void(int64_t)> event("Bench.Matrix", &module, nullptr, &dispatcher);
@@ -194,18 +185,14 @@ MatrixRow SyncMatrixCell(const Module& module, int threads, int handlers,
                                    {.module = &module});
   }
   size_t iters = std::max<size_t>(20000, 200000 / static_cast<size_t>(handlers));
-  return MeasureMatrixCell("sync", shards, threads, handlers, iters, event,
-                           [] {});
+  return MeasureMatrixCell("sync", threads, handlers, iters, event, [] {});
 }
 
-MatrixRow AsyncMatrixCell(const Module& module, int threads, int handlers,
-                          uint32_t shards) {
-  // A dedicated pool with one worker per shard: sharded dispatch spreads
-  // submissions across all the queues, shards=1 funnels them into queue 0
-  // (thieves still drain it, but every submit contends on one lock).
-  ThreadPool pool(kMatrixShards);
+MatrixRow AsyncMatrixCell(const Module& module, int threads, int handlers) {
+  // A dedicated pool: each raiser submits to its own home queue, and idle
+  // workers steal from the others.
+  ThreadPool pool(kMatrixPoolWorkers);
   Dispatcher::Config config;
-  config.shards = shards;
   config.allow_direct = false;
   config.pool = &pool;
   Dispatcher dispatcher(config);
@@ -215,7 +202,7 @@ MatrixRow AsyncMatrixCell(const Module& module, int threads, int handlers,
                               {.async = true, .module = &module});
   }
   size_t iters = std::max<size_t>(200, 10000 / static_cast<size_t>(handlers));
-  return MeasureMatrixCell("async", shards, threads, handlers, iters, event,
+  return MeasureMatrixCell("async", threads, handlers, iters, event,
                            [&] { pool.Drain(); });
 }
 
@@ -232,41 +219,35 @@ void WriteMatrixJson(const char* path, const std::vector<MatrixRow>& rows) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const MatrixRow& r = rows[i];
     std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"shards\": %u, \"threads\": %d, "
+                 "    {\"mode\": \"%s\", \"threads\": %d, "
                  "\"handlers\": %d, \"raises_per_sec\": %.0f, "
                  "\"ns_per_raise\": %.1f}%s\n",
-                 r.mode, r.shards, r.threads, r.handlers, r.raises_per_sec,
+                 r.mode, r.threads, r.handlers, r.raises_per_sec,
                  r.ns_per_raise, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 }
 
-void RunShardMatrix(const Module& module, const char* out_path) {
+void RunScalingMatrix(const Module& module, const char* out_path) {
   const int kThreadCounts[] = {1, 2, 4, 8, 16};
   const int kHandlerCounts[] = {1, 10, 100};
   std::vector<MatrixRow> rows;
 
-  std::printf("\nShard-scaling matrix (aggregate Mraises/s; %u hw threads)\n",
+  std::printf("\nScaling matrix (aggregate Mraises/s; %u hw threads)\n",
               std::thread::hardware_concurrency());
   bench::Rule('=');
-  std::printf("%-6s %-9s %-9s | %-12s %-12s | %-12s %-12s\n", "thr", "handlers",
-              "", "sync s=1", "sync sharded", "async s=1", "async sharded");
+  std::printf("%-6s %-9s | %-12s %-12s\n", "thr", "handlers", "sync",
+              "async");
   bench::Rule();
   for (int threads : kThreadCounts) {
     for (int handlers : kHandlerCounts) {
-      MatrixRow s1 = SyncMatrixCell(module, threads, handlers, 1);
-      MatrixRow sN = SyncMatrixCell(module, threads, handlers, kMatrixShards);
-      MatrixRow a1 = AsyncMatrixCell(module, threads, handlers, 1);
-      MatrixRow aN = AsyncMatrixCell(module, threads, handlers, kMatrixShards);
-      rows.push_back(s1);
-      rows.push_back(sN);
-      rows.push_back(a1);
-      rows.push_back(aN);
-      std::printf("%-6d %-9d %-9s | %-12.3f %-12.3f | %-12.3f %-12.3f\n",
-                  threads, handlers, "", s1.raises_per_sec / 1e6,
-                  sN.raises_per_sec / 1e6, a1.raises_per_sec / 1e6,
-                  aN.raises_per_sec / 1e6);
+      MatrixRow sync = SyncMatrixCell(module, threads, handlers);
+      MatrixRow async = AsyncMatrixCell(module, threads, handlers);
+      rows.push_back(sync);
+      rows.push_back(async);
+      std::printf("%-6d %-9d | %-12.3f %-12.3f\n", threads, handlers,
+                  sync.raises_per_sec / 1e6, async.raises_per_sec / 1e6);
     }
   }
   bench::Rule('=');
@@ -294,7 +275,7 @@ int main(int argc, char** argv) {
 
   spin::Module module("Table1");
   if (matrix_only) {
-    spin::RunShardMatrix(module, matrix_path);
+    spin::RunScalingMatrix(module, matrix_path);
     return 0;
   }
   const int kHandlerCounts[] = {1, 5, 10, 50};
@@ -386,6 +367,6 @@ int main(int argc, char** argv) {
                        spin::HandlerStats<void(int64_t)>(
                            module, 10, 1, /*inline_micro=*/true));
 
-  spin::RunShardMatrix(module, matrix_path);
+  spin::RunScalingMatrix(module, matrix_path);
   return 0;
 }

@@ -28,9 +28,7 @@ int main(int argc, char** argv) {
   const char* prom_path = argc > 1 ? argv[1] : "fleet_metrics.prom";
   const char* stats_path = argc > 2 ? argv[2] : "fleet_stats.jsonl";
 
-  spin::Dispatcher::Config config;
-  config.shards = 4;
-  spin::Dispatcher dispatcher(config);
+  spin::Dispatcher dispatcher;
 
   spin::fleet::FleetOptions options;
   options.pairs = 8;

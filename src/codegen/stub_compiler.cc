@@ -436,22 +436,6 @@ CompiledStub::CompiledStub(std::unique_ptr<CodeBuffer> buffer,
       lir_insns_(lir_insns),
       peephole_rewrites_(peephole_rewrites) {}
 
-std::unique_ptr<CompiledStub> CompiledStub::Clone() const {
-  // The emitted code is position-independent: callee addresses are imm64
-  // materializations called through a register, and every branch is an
-  // internal rel32 resolved at emission. A byte copy into another slot is
-  // therefore an exact replica. The source slot is PROT_READ|PROT_EXEC, so
-  // reading it back is legal.
-  const auto* code = static_cast<const uint8_t*>(buffer_->entry());
-  std::vector<uint8_t> bytes(code, code + buffer_->code_size());
-  auto buffer = CodeBuffer::Create(bytes);
-  if (buffer == nullptr) {
-    return nullptr;
-  }
-  return std::make_unique<CompiledStub>(std::move(buffer), lir_insns_,
-                                        peephole_rewrites_);
-}
-
 bool CodegenAvailable() {
 #if defined(SPIN_JIT_X86_64)
   static const bool disabled = std::getenv("SPIN_DISABLE_JIT") != nullptr;

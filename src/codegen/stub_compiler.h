@@ -96,14 +96,6 @@ class CompiledStub {
   CompiledStub(std::unique_ptr<CodeBuffer> buffer, size_t lir_insns,
                size_t peephole_rewrites);
 
-  // Byte-copies the routine into another code slot. The emitted code is
-  // position-independent (register-indirect calls, internal rel32 branches
-  // only), so the copy is an exact functional replica; sharded dispatchers
-  // clone one compiled stub per shard so each shard's unrolled dispatch
-  // loop owns its own I-cache lines. Returns nullptr if the platform
-  // refuses more executable memory.
-  std::unique_ptr<CompiledStub> Clone() const;
-
   DispatchStubFn entry() const {
     return reinterpret_cast<DispatchStubFn>(
         const_cast<void*>(buffer_->entry()));

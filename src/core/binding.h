@@ -6,9 +6,11 @@
 // constraint, and its execution properties (asynchronous, EPHEMERAL,
 // filter). The handler body is immutable once the binding is active; the
 // guard list may change afterwards ("any number of guards can be imposed on
-// a handler, and they can be added and removed dynamically", §2.5), so it
-// lives behind an epoch-protected pointer that the dispatcher swaps
-// atomically, mirroring the handler-list replacement of §3.
+// a handler, and they can be added and removed dynamically", §2.5). A guard
+// change never edits a list in place: it stores a new immutable list on the
+// binding and rebuilds the event's dispatch table, which carries the list
+// as of that rebuild, so raises read guards only through their table (§3's
+// single-store handler-list replacement).
 #ifndef SRC_CORE_BINDING_H_
 #define SRC_CORE_BINDING_H_
 
@@ -56,10 +58,13 @@ struct GuardClause {
   std::shared_ptr<codegen::CompiledMicro> compiled;  // out-of-line JIT body
 };
 
+// One immutable guard list, shared by the binding and every table built
+// while it was current. Null when the binding has no guards.
+using GuardList = std::shared_ptr<const std::vector<GuardClause>>;
+
 class Binding {
  public:
-  Binding() : guards_(new std::vector<GuardClause>()) {}
-  ~Binding() { delete guards_.load(std::memory_order_relaxed); }
+  Binding() = default;
   Binding(const Binding&) = delete;
   Binding& operator=(const Binding&) = delete;
 
@@ -97,41 +102,42 @@ class Binding {
   // this flag serves API-level queries and double-uninstall detection.
   std::atomic<bool> active{true};
 
-  // --- guard list access ----------------------------------------------
+  // --- guard list (install side) -------------------------------------
 
-  // Raise path: must be called under the dispatcher's epoch guard.
-  const std::vector<GuardClause>& guards() const {
-    return *guards_.load(std::memory_order_acquire);
+  // Read and replaced only under the dispatcher's mutex, or before the
+  // binding is installed. Raises never read it: each table generation
+  // holds its own reference (TableEntry::guards).
+  const GuardList& guards() const { return guards_; }
+  size_t guard_count() const {
+    return guards_ == nullptr ? 0 : guards_->size();
   }
 
-  // Install path, pre-activation only (the binding is not yet visible to
-  // raises, so plain mutation is safe).
-  void AddGuardPreActive(GuardClause guard, bool front) {
-    auto* list = guards_.load(std::memory_order_relaxed);
-    if (front) {
-      list->insert(list->begin(), std::move(guard));
-    } else {
-      list->push_back(std::move(guard));
+  // Stores `guards` as the binding's list (null when empty). Tables built
+  // earlier keep the list they took; it is freed with the last of them.
+  void SetGuards(std::vector<GuardClause> guards) {
+    guards_ = guards.empty() ? nullptr
+                             : std::make_shared<const std::vector<GuardClause>>(
+                                   std::move(guards));
+  }
+
+  // Inserts one guard at the front (imposed guards) or the back.
+  void AddGuard(GuardClause guard, bool front) {
+    std::vector<GuardClause> list;
+    if (guards_ != nullptr) {
+      list = *guards_;
     }
+    list.insert(front ? list.begin() : list.end(), std::move(guard));
+    SetGuards(std::move(list));
   }
-
-  // Install path, post-activation: publish a new guard list and return the
-  // old one. Raises on any shard may still be reading it, so the caller
-  // frees it only after every shard's epoch domain has passed a grace
-  // period (Dispatcher::ReplaceGuardsLocked).
-  std::vector<GuardClause>* SwapGuards(std::vector<GuardClause> new_guards) {
-    auto* fresh = new std::vector<GuardClause>(std::move(new_guards));
-    return guards_.exchange(fresh, std::memory_order_acq_rel);
-  }
-
-  std::vector<GuardClause> CopyGuards() const { return guards(); }
 
   size_t MemoryBytes() const {
     size_t bytes = sizeof(Binding);
-    for (const GuardClause& g : guards()) {
-      bytes += sizeof(GuardClause);
-      if (g.prog) {
-        bytes += g.prog->code().size() * sizeof(micro::Insn);
+    if (guards_ != nullptr) {
+      for (const GuardClause& g : *guards_) {
+        bytes += sizeof(GuardClause);
+        if (g.prog) {
+          bytes += g.prog->code().size() * sizeof(micro::Insn);
+        }
       }
     }
     if (prog) {
@@ -141,7 +147,7 @@ class Binding {
   }
 
  private:
-  std::atomic<std::vector<GuardClause>*> guards_;
+  GuardList guards_;
 };
 
 }  // namespace spin

@@ -9,7 +9,6 @@
 #include "src/core/dispatcher.h"
 #include "src/core/ephemeral.h"
 #include "src/core/errors.h"
-#include "src/core/shard.h"
 #include "src/micro/interp.h"
 #include "src/obs/trace.h"
 #include "src/obs/watchdog.h"
@@ -73,19 +72,16 @@ struct AsyncTask {
   EventBase* event = nullptr;
   uint64_t mask = 0;        // unit k is (*list)[first + k'th set bit]
   uint32_t first = 0;
-  uint32_t shard = 0;       // the raising replica's shard (watchdog label)
   uint64_t budget_ns = 0;   // EPHEMERAL budget of the raising table
-  uint64_t source = 0;      // raise source, re-installed on the pool side
   uint64_t enqueue_ns = 0;  // traced handoffs: the enqueue clock read
   obs::TraceContext span;   // sampling decision, and the base span id
   uint64_t args[kMaxEventArgs] = {};
 
-  // Records what the pool side re-installs: the raise source, the sampling
-  // decision and, for a captured raise, one span per unit, each announced
-  // by a kAsyncEnqueue record (the flow start) before the pool runs it.
+  // Records what the pool side re-installs: the sampling decision and, for
+  // a captured raise, one span per unit, each announced by a kAsyncEnqueue
+  // record (the flow start) before the pool runs it.
   void Prepare(const RaiseFrame& frame, bool tracing) {
     std::memcpy(args, frame.args, sizeof(args));
-    source = CurrentRaiseSource();
     if (tracing) {
       const obs::TraceContext& cur = obs::CurrentContext();
       span = obs::TraceContext{
@@ -111,10 +107,6 @@ struct AsyncTask {
 };
 
 void AsyncTask::operator()() {
-  // The work runs behind the raising source's own outbox (the pool queue
-  // indexed by its shard) and keeps that source identity, so any events it
-  // raises in turn stay on the same shard.
-  RaiseSourceScope raise_source(source);
   // Re-install the enqueue site's sampling decision before anything here
   // can emit, so the handoff stays inside (or outside) the same sampled
   // tree. An undecided context — tracing was off at enqueue time — is left
@@ -152,8 +144,8 @@ void AsyncTask::operator()() {
         // Detached raise: errors have no raiser to land on.
       }
     } else {
-      RunBody(*(*list)[first + std::countr_zero(bits)], tracing, timed,
-              start);
+      RunBody(*(*list)[first + std::countr_zero(bits)].binding, tracing,
+              timed, start);
     }
   }
 }
@@ -178,7 +170,7 @@ void AsyncTask::RunBody(const Binding& binding, bool tracing, bool timed,
     uint64_t elapsed = NowNs() - start;
     obs::EventMetrics& metrics = binding.event->metrics();
     metrics.Record(obs::DispatchKind::kAsync, elapsed);
-    obs::CheckDispatch(binding.event->obs_name(), shard, elapsed,
+    obs::CheckDispatch(binding.event->obs_name(), 0, elapsed,
                        metrics.slow_ns());
   }
 }
@@ -192,6 +184,7 @@ void AsyncTask::RunBody(const Binding& binding, bool tracing, bool timed,
                                              RaiseFrame& frame,
                                              bool tracing) {
   const AsyncBindingList& list = *table.async_bindings;
+  const int num_args = static_cast<int>(event.sig().params.size());
   for (size_t first = 0; first < list.size(); first += 64) {
     const size_t end = std::min(list.size(), first + 64);
     uint64_t mask = 0;
@@ -200,7 +193,7 @@ void AsyncTask::RunBody(const Binding& binding, bool tracing, bool timed,
       {
         obs::PhaseScope guard_phase(obs::Phase::kGuardEval, event.obs_name(),
                                     tracing);
-        admitted = EvalGuards(*list[i], frame.args);
+        admitted = EvalGuards(list[i].guards, num_args, frame.args);
       }
       if (admitted) {
         mask |= uint64_t{1} << (i - first);
@@ -219,20 +212,20 @@ void AsyncTask::RunBody(const Binding& binding, bool tracing, bool timed,
     task.event = &event;
     task.mask = mask;
     task.first = static_cast<uint32_t>(first);
-    task.shard = table.shard;
     task.budget_ns = table.ephemeral_budget_ns;
     task.Prepare(frame, tracing);
     Dispatcher& dispatcher = event.owner();
-    dispatcher.pool().SubmitTo(table.shard, std::move(task),
-                               dispatcher.config().async_mode);
+    dispatcher.pool().Submit(std::move(task), dispatcher.config().async_mode);
   }
 }
 
 }  // namespace
 
-bool EvalGuards(const Binding& binding, const uint64_t* slots) {
-  int num_args = static_cast<int>(binding.event->sig().params.size());
-  for (const GuardClause& guard : binding.guards()) {
+bool EvalGuards(const GuardList& guards, int num_args, const uint64_t* slots) {
+  if (guards == nullptr) {
+    return true;
+  }
+  for (const GuardClause& guard : *guards) {
     bool pass;
     if (guard.prog) {
       MicroArgs args(slots, num_args, guard.closure_form, guard.closure);
@@ -335,13 +328,15 @@ void ExecuteTable(EventBase& event, const DispatchTable& table,
     // the PhaseScope nesting chain.
     obs::PhaseScope interp_phase(obs::Phase::kInterp, event.obs_name(),
                                  tracing);
+    const int num_args = static_cast<int>(event.sig().params.size());
     for (size_t i = 0; i < table.sync_bindings.size(); ++i) {
-      const BindingHandle& binding = table.sync_bindings[i];
+      const TableEntry& entry = table.sync_bindings[i];
+      const BindingHandle& binding = entry.binding;
       bool admitted;
       {
         obs::PhaseScope guard_phase(obs::Phase::kGuardEval, event.obs_name(),
                                     tracing);
-        admitted = EvalGuards(*binding, frame.args);
+        admitted = EvalGuards(entry.guards, num_args, frame.args);
       }
       if (!admitted) {
         if (tracing) {
@@ -425,18 +420,11 @@ void EventBase::RaiseErased(RaiseFrame& frame) {
   }
   bool promote = false;
   obs::DispatchKind kind = obs::DispatchKind::kInterp;
-  uint32_t shard = 0;
   {
-    // Route by raise source: hash it to a shard and read that shard's
-    // replica under that shard's epoch domain. Single-shard dispatchers
-    // skip the hash and the counter — shard 0 is the historical path.
-    const uint32_t nshards = dispatcher.shard_count();
-    if (nshards > 1) {
-      shard = ShardFor(CurrentRaiseSource(), nshards);
-      dispatcher.CountShardRaise(shard);
-    }
-    EpochDomain::Guard guard(dispatcher.shard_epoch(shard));
-    DispatchTable* table = table_slot(shard).load(std::memory_order_acquire);
+    // One load of the table pointer under one epoch guard: everything the
+    // dispatch reads hangs off this table generation.
+    EpochDomain::Guard guard(dispatcher.epoch());
+    DispatchTable* table = table_.load(std::memory_order_acquire);
     SPIN_DCHECK(table != nullptr);
     kind = table->obs_kind;
     if (table->lazy_pending) {
@@ -453,7 +441,7 @@ void EventBase::RaiseErased(RaiseFrame& frame) {
   if (timed) {
     uint64_t end = NowNs();
     metrics_->Record(kind, end - start);
-    obs::CheckDispatch(obs_name_, shard, end - start, metrics_->slow_ns());
+    obs::CheckDispatch(obs_name_, 0, end - start, metrics_->slow_ns());
     if (tracing) {
       obs::FlightRecorder::Global().EmitAt(obs::TraceKind::kRaiseEnd,
                                            obs_name_, end);
@@ -471,17 +459,24 @@ void EventBase::RaiseAsyncErased(const RaiseFrame& frame) {
       obs::CurrentContext().decision == obs::SampleDecision::kUndecided) {
     sample.emplace(obs::DecideTopLevel());
   }
-  // The detached dispatch runs behind the source's outbox and re-raises
-  // with the same source identity, so it lands on the same shard replica
-  // the synchronous path would have used.
-  const uint32_t nshards = dispatcher.shard_count();
   AsyncTask task;
   task.event = this;
   task.mask = 1;
-  task.shard = nshards > 1 ? ShardFor(CurrentRaiseSource(), nshards) : 0;
   task.Prepare(frame, obs::Capturing());
-  dispatcher.pool().SubmitTo(task.shard, std::move(task),
-                             dispatcher.config().async_mode);
+  dispatcher.pool().Submit(std::move(task), dispatcher.config().async_mode);
+}
+
+size_t DispatchTable::GuardCount() const {
+  size_t count = 0;
+  for (const TableEntry& entry : sync_bindings) {
+    count += entry.guards == nullptr ? 0 : entry.guards->size();
+  }
+  if (async_bindings != nullptr) {
+    for (const TableEntry& entry : *async_bindings) {
+      count += entry.guards == nullptr ? 0 : entry.guards->size();
+    }
+  }
+  return count;
 }
 
 bool EventBase::has_default_handler() const {
@@ -501,16 +496,7 @@ size_t EventBase::handler_count() const {
 size_t EventBase::guard_count() const {
   EpochDomain::Guard guard(owner_->epoch());
   DispatchTable* table = table_.load(std::memory_order_acquire);
-  size_t count = 0;
-  for (const auto& b : table->sync_bindings) {
-    count += b->guards().size();
-  }
-  if (table->async_bindings != nullptr) {
-    for (const auto& b : *table->async_bindings) {
-      count += b->guards().size();
-    }
-  }
-  return count;
+  return table->GuardCount();
 }
 
 }  // namespace spin

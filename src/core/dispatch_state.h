@@ -1,19 +1,14 @@
 // Dispatch tables and the event runtime object.
 //
-// Each event owns an immutable DispatchTable describing how a raise is
-// executed. Handler installation builds a fresh table and publishes it with
-// a single atomic store (§3: "handler lists are updated atomically with
-// respect to event dispatch by using a single memory access"); the old
-// table — including any generated code it owns — is reclaimed through
-// epoch-based reclamation once concurrent raises have drained.
-//
-// When the owning dispatcher is sharded (Config::shards > 1), the event
-// holds one table replica per shard. A raise hashes its source (see
-// src/core/shard.h) to a shard and reads only that shard's replica under
-// that shard's epoch domain; installs publish a fresh replica to every
-// shard, each with its own copy of the generated stub so the unrolled
-// dispatch loop stays warm in each shard's I-cache. With one shard the
-// layout and the raise path are exactly the historical single-replica ones.
+// Each event owns one immutable DispatchTable describing how a raise is
+// executed, and the table is everything a raise reads: the bindings in
+// dispatch order, each with its guard list as of the rebuild, the result
+// policy and any generated code. Every install, uninstall or guard change
+// builds a fresh table and publishes it with a single atomic store (§3:
+// "handler lists are updated atomically with respect to event dispatch by
+// using a single memory access"); the old table, with whatever guard lists
+// and generated code only it still references, is reclaimed through the
+// dispatcher's epoch domain once concurrent raises have drained.
 #ifndef SRC_CORE_DISPATCH_STATE_H_
 #define SRC_CORE_DISPATCH_STATE_H_
 
@@ -43,17 +38,24 @@ using ResultPolicy = codegen::ResultPolicy;
 using ResultFold = uint64_t (*)(void* ctx, uint64_t result, uint64_t current,
                                 uint32_t index);
 
+// One binding as a table generation dispatches it: the binding and its
+// guard list as it was when the table was built. A guard change rebuilds
+// the table, so a raise never sees guards from another generation.
+struct TableEntry {
+  BindingHandle binding;
+  GuardList guards;  // null when the binding had no guards
+};
+
 // A table's async handlers in dispatch order. The list is immutable once
-// published; every shard replica of one table generation shares it, and
-// each queued async task holds one reference to it.
-using AsyncBindingList = std::vector<BindingHandle>;
+// published, and each queued async task holds one reference to it.
+using AsyncBindingList = std::vector<TableEntry>;
 
 struct DispatchTable {
   // Handlers in dispatch order. Sync handlers execute inline (via the stub
   // when one was generated); async handlers have their guards evaluated
   // inline and their admitted bodies handed to the pool as one task per
   // raise (§2.6). async_bindings is null when the event has none.
-  std::vector<BindingHandle> sync_bindings;
+  std::vector<TableEntry> sync_bindings;
   std::shared_ptr<const AsyncBindingList> async_bindings;
   BindingHandle default_handler;  // runs only when nothing else fired
 
@@ -67,11 +69,6 @@ struct DispatchTable {
 
   // Generated dispatch routine covering sync_bindings (null => interpret).
   std::unique_ptr<codegen::CompiledStub> stub;
-
-  // Which shard this replica serves: async work it schedules goes to the
-  // pool queue of the same index, keeping a source's async handlers behind
-  // its own outbox. Always 0 for single-shard dispatchers.
-  uint32_t shard = 0;
 
   // Lazy-compile mode: this table is interpreted, but the event should be
   // promoted to a compiled table once it proves hot.
@@ -87,6 +84,9 @@ struct DispatchTable {
   uint64_t InitialResult() const {
     return policy == ResultPolicy::kAnd ? ~0ull : 0ull;
   }
+
+  // Guards across all entries, sync and async (introspection).
+  size_t GuardCount() const;
 };
 
 // Authorization (§2.5). The event's authority installs an AuthorizerFn;
@@ -183,19 +183,7 @@ class EventBase {
   const Module* authority_;
   Dispatcher* owner_;
 
-  // Shard 0's table replica lives inline (the whole state of a single-shard
-  // event); replicas for shards 1..N-1 live in extra_tables_, one cache
-  // line each so raises on different shards never false-share.
   std::atomic<DispatchTable*> table_{nullptr};
-  struct alignas(64) TableSlot {
-    std::atomic<DispatchTable*> table{nullptr};
-  };
-  std::unique_ptr<TableSlot[]> extra_tables_;  // null when owner has 1 shard
-
-  std::atomic<DispatchTable*>& table_slot(uint32_t shard) {
-    return shard == 0 ? table_ : extra_tables_[shard - 1].table;
-  }
-
   std::atomic<void*> direct_fn_{nullptr};
   std::atomic<bool> async_event_{false};
 
@@ -227,9 +215,11 @@ class EventBase {
 void ExecuteTable(EventBase& event, const DispatchTable& table,
                   RaiseFrame& frame);
 
-// Evaluates one binding's guards against the argument slots (used inline by
-// the interpreter and for async bindings before scheduling).
-bool EvalGuards(const Binding& binding, const uint64_t* slots);
+// Evaluates a guard list against the argument slots of an event with
+// `num_args` parameters; a null list admits. The interpreter and the async
+// scheduler pass a table entry's list, the remote exporter the imposed
+// guards of a bind.
+bool EvalGuards(const GuardList& guards, int num_args, const uint64_t* slots);
 
 // Runs one binding's handler (interpreted path), honoring EPHEMERAL
 // termination. Returns false if the handler was terminated.

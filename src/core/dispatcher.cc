@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <ostream>
-#include <thread>
 
 #include "src/micro/pattern.h"
 #include "src/obs/export.h"
@@ -14,25 +13,6 @@ namespace spin {
 namespace {
 
 void DeleteTable(void* p) { delete static_cast<DispatchTable*>(p); }
-
-void DeleteGuards(void* p) {
-  delete static_cast<std::vector<GuardClause>*>(p);
-}
-
-// A guard list retired into several epoch domains at once: each domain's
-// grace period drops one count, and the last one frees the list.
-struct SharedGuardRetire {
-  std::atomic<uint32_t> left;
-  std::vector<GuardClause>* guards;
-
-  static void Release(void* p) {
-    auto* self = static_cast<SharedGuardRetire*>(p);
-    if (self->left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      DeleteGuards(self->guards);
-      delete self;
-    }
-  }
-};
 
 // Bytes one guard charges against its binding owner's quota.
 size_t GuardBytes(const GuardClause& guard) {
@@ -99,18 +79,18 @@ struct TreePlan {
 };
 
 std::optional<TreePlan> PlanGuardTree(
-    const std::vector<BindingHandle>& sync_bindings) {
+    const std::vector<TableEntry>& sync_bindings) {
   TreePlan plan;
   plan.matched_guard.reserve(sync_bindings.size());
   bool have_key = false;
   micro::FieldEqPattern key;
   std::vector<uint64_t> values;
   for (size_t b = 0; b < sync_bindings.size(); ++b) {
-    const Binding& binding = *sync_bindings[b];
-    if (!binding.byref_params.empty()) {
+    if (!sync_bindings[b].binding->byref_params.empty() ||
+        sync_bindings[b].guards == nullptr) {
       return std::nullopt;
     }
-    const std::vector<GuardClause>& guards = binding.guards();
+    const std::vector<GuardClause>& guards = *sync_bindings[b].guards;
     bool matched = false;
     for (size_t g = 0; g < guards.size(); ++g) {
       if (!guards[g].prog.has_value() || guards[g].closure_form) {
@@ -195,7 +175,7 @@ void AuthRequest::ImposeGuard(GuardClause guard) {
     guard.compiled = codegen::CompileMicro(*guard.prog);
   }
   // The candidate binding is not yet visible to raises.
-  binding->AddGuardPreActive(std::move(guard), /*front=*/true);
+  binding->AddGuard(std::move(guard), /*front=*/true);
 }
 
 void AuthRequest::SetOrder(Order order) {
@@ -217,12 +197,6 @@ EventBase::EventBase(std::string name, ProcSig sig, const Module* authority,
   SPIN_ASSERT(owner_ != nullptr);
   SPIN_ASSERT_MSG(sig_.params.size() <= static_cast<size_t>(kMaxEventArgs),
                   "event %s has too many parameters", name_.c_str());
-  // Replica slots for shards 1..N-1 must exist before the event becomes
-  // visible to raises (RegisterEvent publishes the first tables).
-  if (owner_->shard_count() > 1) {
-    extra_tables_ =
-        std::make_unique<TableSlot[]>(owner_->shard_count() - 1);
-  }
   owner_->RegisterEvent(this);
 }
 
@@ -237,35 +211,11 @@ namespace {
 std::atomic<uint64_t> g_next_dispatcher_id{1};
 }  // namespace
 
-namespace {
-
-uint32_t ResolveShardCount(uint32_t requested) {
-  if (requested == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    requested = hw == 0 ? 1 : static_cast<uint32_t>(hw);
-  }
-  return std::min(requested, Dispatcher::kMaxShards);
-}
-
-}  // namespace
-
 Dispatcher::Dispatcher(const Config& config)
     : config_(config),
-      epoch_(config.epoch != nullptr ? config.epoch : &EpochDomain::Global()),
       pool_(config.pool != nullptr ? config.pool : &ThreadPool::Global()),
-      shard_count_(ResolveShardCount(config.shards)),
-      shards_(std::make_unique<ShardState[]>(shard_count_)),
       quota_(config.quota_bytes_per_module),
       instance_id_(g_next_dispatcher_id.fetch_add(1)) {
-  // Shard 0 always shares the configured (or global) domain: single-shard
-  // dispatchers keep the historical reclamation protocol, and install-side
-  // introspection reads shard 0 under epoch(). Extra shards own private
-  // domains so their raises never contend on another shard's epoch state.
-  shards_[0].epoch = epoch_;
-  for (uint32_t s = 1; s < shard_count_; ++s) {
-    shards_[s].owned_epoch = std::make_unique<EpochDomain>();
-    shards_[s].epoch = shards_[s].owned_epoch.get();
-  }
   obs::RegisterSource(this, &Dispatcher::ExportMetricsSource);
   watch_pool_name_ =
       obs::Intern("dispatcher" + std::to_string(instance_id_) + "/pool");
@@ -280,9 +230,7 @@ Dispatcher::~Dispatcher() {
   obs::UnregisterSource(this);
   // Events must be destroyed before their dispatcher; whatever tables remain
   // belong to events that leaked. Reclaim retired state.
-  for (uint32_t s = 0; s < shard_count_; ++s) {
-    shards_[s].epoch->Flush();
-  }
+  epoch().Flush();
 }
 
 Dispatcher& Dispatcher::Global() {
@@ -314,19 +262,9 @@ void Dispatcher::UnregisterEvent(EventBase* event) {
     events_.erase(std::remove(events_.begin(), events_.end(), event),
                   events_.end());
   }
-  // Drain concurrent raises on every shard, then free the final replicas
-  // directly.
-  for (uint32_t s = 0; s < shard_count_; ++s) {
-    shards_[s].epoch->Synchronize();
-    delete event->table_slot(s).exchange(nullptr,
-                                         std::memory_order_acq_rel);
-  }
-}
-
-void Dispatcher::SynchronizeAllShards() {
-  for (uint32_t s = 0; s < shard_count_; ++s) {
-    shards_[s].epoch->Synchronize();
-  }
+  // Drain concurrent raises, then free the final table directly.
+  epoch().Synchronize();
+  delete event->table_.exchange(nullptr, std::memory_order_acq_rel);
 }
 
 bool Dispatcher::AuthorizeLocked(AuthRequest& request) {
@@ -547,9 +485,11 @@ void Dispatcher::RemoveGuard(const BindingHandle& binding, size_t index,
   if (!binding->active.load(std::memory_order_acquire)) {
     throw InstallError(InstallStatus::kBindingInactive, event.name());
   }
-  std::vector<GuardClause> guards = binding->CopyGuards();
-  SPIN_ASSERT_MSG(index < guards.size(), "guard index %zu out of range",
-                  index);
+  if (index >= binding->guard_count()) {
+    throw InstallError(InstallStatus::kNoSuchGuard,
+                       event.name() + " guard " + std::to_string(index));
+  }
+  std::vector<GuardClause> guards = *binding->guards();
   if (guards[index].imposed) {
     // Manipulating an authority-imposed guard is itself authorized.
     AuthRequest request;
@@ -563,13 +503,13 @@ void Dispatcher::RemoveGuard(const BindingHandle& binding, size_t index,
   }
   quota_.Release(binding->owner, GuardBytes(guards[index]));
   guards.erase(guards.begin() + static_cast<ptrdiff_t>(index));
-  ReplaceGuardsLocked(*binding, std::move(guards));
+  binding->SetGuards(std::move(guards));
   RebuildLocked(event);
 }
 
 size_t Dispatcher::GuardCount(const BindingHandle& binding) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return binding->guards().size();
+  return binding->guard_count();
 }
 
 EventBase* Dispatcher::FindEvent(const std::string& name) const {
@@ -584,7 +524,7 @@ EventBase* Dispatcher::FindEvent(const std::string& name) const {
 
 std::string Dispatcher::Describe(EventBase& event) const {
   std::string out = event.name() + " " + event.sig().ToString() + "\n";
-  EpochDomain::Guard guard(*epoch_);
+  EpochDomain::Guard guard(epoch());
   DispatchTable* table = event.table_.load(std::memory_order_acquire);
   const char* kind = "interpreted";
   if (event.direct_fn() != nullptr) {
@@ -598,21 +538,13 @@ std::string Dispatcher::Describe(EventBase& event) const {
   out += kind;
   out += "\n";
   char line[160];
-  size_t guards = 0;
-  for (const auto& binding : table->sync_bindings) {
-    guards += binding->guards().size();
-  }
-  size_t async_handlers = 0;
-  if (table->async_bindings != nullptr) {
-    async_handlers = table->async_bindings->size();
-    for (const auto& binding : *table->async_bindings) {
-      guards += binding->guards().size();
-    }
-  }
+  size_t async_handlers =
+      table->async_bindings != nullptr ? table->async_bindings->size() : 0;
   std::snprintf(line, sizeof(line),
                 "  handlers: %zu sync, %zu async, %s default; guards: %zu\n",
                 table->sync_bindings.size(), async_handlers,
-                table->default_handler != nullptr ? "1" : "no", guards);
+                table->default_handler != nullptr ? "1" : "no",
+                table->GuardCount());
   out += line;
   if (table->stub != nullptr) {
     std::snprintf(line, sizeof(line),
@@ -680,23 +612,8 @@ void Dispatcher::InsertGuard(const BindingHandle& binding, GuardClause clause,
   if (!quota_.Charge(binding->owner, GuardBytes(clause))) {
     throw InstallError(InstallStatus::kQuotaExceeded, binding->event->name());
   }
-  std::vector<GuardClause> guards = binding->CopyGuards();
-  guards.insert(front ? guards.begin() : guards.end(), std::move(clause));
-  ReplaceGuardsLocked(*binding, std::move(guards));
+  binding->AddGuard(std::move(clause), front);
   RebuildLocked(*binding->event);
-}
-
-void Dispatcher::ReplaceGuardsLocked(Binding& binding,
-                                     std::vector<GuardClause> guards) {
-  std::vector<GuardClause>* old = binding.SwapGuards(std::move(guards));
-  if (shard_count_ == 1) {
-    epoch_->Retire(old, &DeleteGuards);
-    return;
-  }
-  auto* retire = new SharedGuardRetire{{shard_count_}, old};
-  for (uint32_t s = 0; s < shard_count_; ++s) {
-    shards_[s].epoch->Retire(retire, &SharedGuardRetire::Release);
-  }
 }
 
 void Dispatcher::Uninstall(const BindingHandle& binding,
@@ -878,7 +795,7 @@ void Dispatcher::RebuildLocked(EventBase& event) {
       continue;
     }
     (binding->async ? async_bindings : table->sync_bindings)
-        .push_back(binding);
+        .push_back(TableEntry{binding, binding->guards()});
   }
   if (!async_bindings.empty()) {
     table->async_bindings =
@@ -893,10 +810,10 @@ void Dispatcher::RebuildLocked(EventBase& event) {
   if (config_.allow_direct && !event.async_event() &&
       table->async_bindings == nullptr && table->sync_bindings.size() == 1 &&
       table->custom_fold == nullptr) {
-    const Binding& only = *table->sync_bindings[0];
+    const Binding& only = *table->sync_bindings[0].binding;
     if (only.fn != nullptr && !only.closure_form && !only.erased &&
-        only.guards().empty() && only.byref_params.empty() &&
-        !only.ephemeral) {
+        table->sync_bindings[0].guards == nullptr &&
+        only.byref_params.empty() && !only.ephemeral) {
       direct_candidate = only.fn;
     }
   }
@@ -916,36 +833,38 @@ void Dispatcher::RebuildLocked(EventBase& event) {
     jitable = false;
   }
   if (jitable) {
-    for (const BindingHandle& binding : table->sync_bindings) {
-      // Guarded by mu_; compiled micro bodies are cached on the clauses.
-      auto& mutable_binding = const_cast<Binding&>(*binding);
-      if (binding->ephemeral || binding->may_throw || binding->erased) {
+    for (TableEntry& entry : table->sync_bindings) {
+      Binding& binding = *entry.binding;  // guarded by mu_
+      if (binding.ephemeral || binding.may_throw || binding.erased) {
         jitable = false;
         break;
       }
-      CompileBodyIfNeeded(mutable_binding, config_.inline_micro);
-      if (!CallableJitable(*binding, config_.inline_micro, num_args)) {
+      // Compiled micro bodies are cached on the binding and its clauses.
+      CompileBodyIfNeeded(binding, config_.inline_micro);
+      if (!CallableJitable(binding, config_.inline_micro, num_args)) {
         jitable = false;
         break;
       }
-      // Published guard clauses are read lock-free by EvalGuards' compiled
-      // fast path, so missing JIT bodies are compiled into a copy of the
-      // list and republished through the epoch; raises in flight keep
-      // interpreting the retired list. A list that needs no body (every
-      // list while micro guards are inlined) is left as published.
-      const std::vector<GuardClause>& published = binding->guards();
-      if (std::any_of(published.begin(), published.end(),
+      if (entry.guards == nullptr) {
+        continue;
+      }
+      // Published lists are immutable (older tables may still be reading
+      // them), so missing JIT bodies go into a new list that the binding
+      // and this table take. A list that needs no body (every list while
+      // micro guards are inlined) is used as it is.
+      if (std::any_of(entry.guards->begin(), entry.guards->end(),
                       [&](const GuardClause& guard) {
                         return NeedsCompiledBody(guard,
                                                  config_.inline_micro);
                       })) {
-        std::vector<GuardClause> guards = published;
+        std::vector<GuardClause> guards = *entry.guards;
         for (GuardClause& guard : guards) {
           CompileBodyIfNeeded(guard, config_.inline_micro);
         }
-        ReplaceGuardsLocked(mutable_binding, std::move(guards));
+        binding.SetGuards(std::move(guards));
+        entry.guards = binding.guards();
       }
-      for (const GuardClause& guard : binding->guards()) {
+      for (const GuardClause& guard : *entry.guards) {
         if (!CallableJitable(guard, config_.inline_micro, num_args)) {
           jitable = false;
           break;
@@ -969,18 +888,19 @@ void Dispatcher::RebuildLocked(EventBase& event) {
       tree_plan = PlanGuardTree(table->sync_bindings);
     }
     for (size_t b = 0; b < table->sync_bindings.size(); ++b) {
-      const BindingHandle& binding = table->sync_bindings[b];
+      const TableEntry& entry = table->sync_bindings[b];
       codegen::BindingSpec bspec;
-      bspec.handler = MakeCallableSpec(*binding, config_.inline_micro);
-      bspec.byref_params = binding->byref_params;
-      const std::vector<GuardClause>& guards = binding->guards();
+      bspec.handler = MakeCallableSpec(*entry.binding, config_.inline_micro);
+      bspec.byref_params = entry.binding->byref_params;
+      const size_t num_guards =
+          entry.guards == nullptr ? 0 : entry.guards->size();
       std::vector<const GuardClause*> ordered;
-      ordered.reserve(guards.size());
-      for (size_t g = 0; g < guards.size(); ++g) {
+      ordered.reserve(num_guards);
+      for (size_t g = 0; g < num_guards; ++g) {
         if (tree_plan.has_value() && tree_plan->matched_guard[b] == g) {
           continue;  // the decision tree subsumes this guard
         }
-        ordered.push_back(&guards[g]);
+        ordered.push_back(&(*entry.guards)[g]);
       }
       if (config_.reorder_guards) {
         // D4: guards are FUNCTIONAL, so evaluation order is free; put
@@ -1030,46 +950,13 @@ void Dispatcher::RebuildLocked(EventBase& event) {
   obs::FlightRecorder::Global().Emit(obs::TraceKind::kRebuild,
                                      event.obs_name_, table->version);
 
-  // Publish one replica per shard, each with a single store; old replicas
-  // retire through the owning shard's epoch domain. The stub is compiled
-  // once (above, for shard 0) and byte-copied for the other shards so every
-  // shard's dispatch loop lives in its own executable pages.
-  for (uint32_t s = 1; s < shard_count_; ++s) {
-    auto replica = std::make_unique<DispatchTable>();
-    replica->sync_bindings = table->sync_bindings;
-    replica->async_bindings = table->async_bindings;
-    replica->default_handler = table->default_handler;
-    replica->policy = table->policy;
-    replica->custom_fold = table->custom_fold;
-    replica->custom_fold_ctx = table->custom_fold_ctx;
-    replica->returns_value = table->returns_value;
-    replica->result_is_bool = table->result_is_bool;
-    replica->ephemeral_budget_ns = table->ephemeral_budget_ns;
-    replica->shard = s;
-    replica->lazy_pending = table->lazy_pending;
-    replica->obs_kind = table->obs_kind;
-    replica->version = table->version;
-    if (table->stub != nullptr) {
-      replica->stub = table->stub->Clone();
-      if (replica->stub != nullptr) {
-        ++stats_.stub_replicas;
-      } else {
-        // The platform refused another executable mapping; this shard
-        // interprets the same bindings instead (semantically identical).
-        replica->obs_kind = obs::DispatchKind::kInterp;
-      }
-    }
-    DispatchTable* old = event.table_slot(s).exchange(
-        replica.release(), std::memory_order_acq_rel);
-    if (old != nullptr) {
-      shards_[s].epoch->Retire(old, &DeleteTable);
-    }
-  }
+  // Publish with a single store; the old table, and any guard list or
+  // generated code only it references, retires through the epoch domain.
   DispatchTable* old = event.table_.exchange(table.release(),
                                              std::memory_order_acq_rel);
   event.direct_fn_.store(direct, std::memory_order_release);
   if (old != nullptr) {
-    epoch_->Retire(old, &DeleteTable);
+    epoch().Retire(old, &DeleteTable);
   }
 }
 
@@ -1088,37 +975,16 @@ void Dispatcher::ExportMetricsSource(void* ctx, std::ostream& os) {
   line("spin_dispatcher_direct_tables_total", stats.direct_tables);
   line("spin_dispatcher_tree_tables_total", stats.tree_tables);
   line("spin_dispatcher_lazy_promotions_total", stats.lazy_promotions);
-  line("spin_dispatcher_stub_replicas_total", stats.stub_replicas);
-  line("spin_dispatcher_shards", self->shard_count_);
   // The pool and epoch domain may be process-global and shared between
   // dispatchers; the instance label keeps the series distinct regardless.
-  // Aggregates stay unlabeled for dashboard continuity; per-shard series
-  // add a `shard` label (the pool queue of the same index drains a shard's
-  // async outbox, so pool queues are reported per shard).
   line("spin_pool_queue_depth", self->pool_->queue_depth());
   line("spin_pool_pending", self->pool_->pending());
   line("spin_pool_executed_total", self->pool_->executed());
   line("spin_pool_steals_total", self->pool_->steals());
-  auto shard_line = [&os, self](const char* name, uint32_t shard,
-                                uint64_t value) {
-    os << name << "{instance=\"" << self->instance_id_ << "\",shard=\""
-       << shard << "\"} " << value << "\n";
-  };
-  if (self->shard_count_ > 1) {
-    size_t pool_queues = self->pool_->queues();
-    for (uint32_t s = 0; s < self->shard_count_; ++s) {
-      shard_line("spin_dispatcher_shard_raises_total", s,
-                 self->shard_raises(s));
-      if (s < pool_queues) {
-        shard_line("spin_pool_queue_depth", s, self->pool_->queue_depth(s));
-        shard_line("spin_pool_executed_total", s, self->pool_->executed(s));
-        shard_line("spin_pool_steals_total", s, self->pool_->steals(s));
-      }
-    }
-  }
-  line("spin_epoch_current", self->epoch_->epoch());
-  line("spin_epoch_retired", self->epoch_->retired_count());
-  line("spin_epoch_reclaimed_total", self->epoch_->reclaimed_total());
+  EpochDomain& epoch = self->epoch();
+  line("spin_epoch_current", epoch.epoch());
+  line("spin_epoch_retired", epoch.retired_count());
+  line("spin_epoch_reclaimed_total", epoch.reclaimed_total());
   line("spin_quota_limit_bytes", self->quota_.limit());
   for (const auto& [module, used] : self->quota_.Snapshot()) {
     os << "spin_quota_used_bytes{instance=\"" << self->instance_id_
@@ -1131,28 +997,25 @@ void Dispatcher::ExportMetricsSource(void* ctx, std::ostream& os) {
 void Dispatcher::WatchdogProbeSource(void* ctx,
                                      std::vector<obs::WatchSample>& out) {
   auto* self = static_cast<Dispatcher*>(ctx);
-  // One queue sample per shard outbox: depth is the backlog, executed the
-  // progress counter the stall rule watches. Shards beyond the pool's
-  // queue count alias earlier queues (SubmitTo wraps), so cap at both.
-  size_t pool_queues = self->pool_->queues();
-  for (uint32_t s = 0; s < self->shard_count_ && s < pool_queues; ++s) {
+  // One sample per pool queue, labelled by queue index: depth is the
+  // backlog, executed the progress counter the stall rule watches. Async
+  // work sits on its raiser's home queue, which may be any of them.
+  for (size_t q = 0; q < self->pool_->queues(); ++q) {
     obs::WatchSample queue;
     queue.kind = obs::AnomalyKind::kQueueStall;
     queue.name = self->watch_pool_name_;
-    queue.shard = s;
-    queue.depth = self->pool_->queue_depth(s);
-    queue.progress = self->pool_->executed(s);
+    queue.shard = static_cast<uint32_t>(q);
+    queue.depth = self->pool_->queue_depth(q);
+    queue.progress = self->pool_->executed(q);
     out.push_back(queue);
   }
-  for (uint32_t s = 0; s < self->shard_count_; ++s) {
-    obs::WatchSample epoch;
-    epoch.kind = obs::AnomalyKind::kEpochStall;
-    epoch.name = self->watch_epoch_name_;
-    epoch.shard = s;
-    epoch.depth = self->shards_[s].epoch->retired_count();
-    epoch.progress = self->shards_[s].epoch->reclaimed_total();
-    out.push_back(epoch);
-  }
+  obs::WatchSample epoch;
+  epoch.kind = obs::AnomalyKind::kEpochStall;
+  epoch.name = self->watch_epoch_name_;
+  epoch.shard = 0;
+  epoch.depth = self->epoch().retired_count();
+  epoch.progress = self->epoch().reclaimed_total();
+  out.push_back(epoch);
 }
 
 }  // namespace spin

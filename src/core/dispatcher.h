@@ -83,19 +83,10 @@ class Dispatcher {
     // proves hot.
     bool lazy_compile = false;
     uint32_t lazy_promote_raises = 64;
-    // Dispatch-state shards ("RSS for events", see src/core/shard.h): each
-    // raise hashes its source to one of `shards` replicas, each with its
-    // own epoch domain, table replica, stub copy, and async outbox queue.
-    // 1 (the default) is the historical single-replica dispatcher; 0 means
-    // one shard per hardware thread (capped at kMaxShards).
-    uint32_t shards = 1;
     AsyncMode async_mode = AsyncMode::kPooled;
     ThreadPool* pool = nullptr;        // default: ThreadPool::Global()
-    EpochDomain* epoch = nullptr;      // default: EpochDomain::Global()
     size_t quota_bytes_per_module = 4u << 20;
   };
-
-  static constexpr uint32_t kMaxShards = 64;
 
   Dispatcher() : Dispatcher(Config{}) {}
   explicit Dispatcher(const Config& config);
@@ -187,7 +178,9 @@ class Dispatcher {
 
   // Removes one guard by position (§2.5: imposed guards "can be added and
   // removed dynamically"). Removing an imposed guard consults the event's
-  // authorizer (op kImposeGuard).
+  // authorizer (op kImposeGuard). An index at or past GuardCount throws
+  // InstallError(kNoSuchGuard): another module may have removed the guard
+  // first.
   void RemoveGuard(const BindingHandle& binding, size_t index,
                    const Module* requestor = nullptr);
   size_t GuardCount(const BindingHandle& binding) const;
@@ -304,34 +297,15 @@ class Dispatcher {
     uint64_t direct_tables = 0;
     uint64_t tree_tables = 0;      // stubs using the guard decision tree
     uint64_t lazy_promotions = 0;  // lazy events promoted to compiled
-    uint64_t stub_replicas = 0;    // per-shard byte-copies of compiled stubs
   };
   Stats stats() const;
 
-  EpochDomain& epoch() { return *epoch_; }
+  // The epoch domain that protects every table a raise reads (the
+  // process-wide domain, shared by all dispatchers).
+  EpochDomain& epoch() const { return EpochDomain::Global(); }
   ThreadPool& pool() { return *pool_; }
   QuotaManager& quota() { return quota_; }
   const Config& config() const { return config_; }
-
-  // --- Sharding ---------------------------------------------------------
-
-  // Number of dispatch-state shards (fixed at construction).
-  uint32_t shard_count() const { return shard_count_; }
-
-  // The epoch domain protecting shard `shard`'s table replicas. Shard 0 is
-  // always the configured/global domain, so single-shard dispatchers and
-  // install-side introspection keep their historical reclamation protocol.
-  EpochDomain& shard_epoch(uint32_t shard) { return *shards_[shard].epoch; }
-
-  // Raises dispatched through shard `shard` (counted only when sharded, so
-  // the single-shard raise path stays free of atomic read-modify-writes).
-  uint64_t shard_raises(uint32_t shard) const {
-    return shards_[shard].raises.load(std::memory_order_relaxed);
-  }
-
-  // Waits until every shard's retired tables have been reclaimed. The
-  // single-shard equivalent of epoch().Synchronize().
-  void SynchronizeAllShards();
 
   // Untyped installation core (used by the typed wrappers and by
   // infrastructure that builds bindings directly).
@@ -351,9 +325,6 @@ class Dispatcher {
   void UnregisterEvent(EventBase* event);
   void PromoteLazyEvent(EventBase& event);
   void RebuildLocked(EventBase& event);
-  void CountShardRaise(uint32_t shard) {
-    shards_[shard].raises.fetch_add(1, std::memory_order_relaxed);
-  }
   bool AuthorizeLocked(AuthRequest& request);
   void PlaceLocked(EventBase& event, const BindingHandle& binding,
                    const Order& order);
@@ -362,35 +333,19 @@ class Dispatcher {
   // rebuilds the event: the whole change under one hold of mu_.
   void InsertGuard(const BindingHandle& binding, GuardClause clause,
                    bool front);
-  // Publishes `guards` as the binding's guard list. The old list is freed
-  // once every shard's epoch domain has passed a grace period: a raise on
-  // any shard may be walking it.
-  void ReplaceGuardsLocked(Binding& binding, std::vector<GuardClause> guards);
   void CheckIsAuthorityOrAuthorized(EventBase& event, AuthOp op,
                                     const Module* requestor,
                                     void* credentials);
 
   static void ExportMetricsSource(void* ctx, std::ostream& os);
 
-  // Anomaly-watchdog probe: reports per-shard pool queue (depth, executed)
-  // and epoch domain (retired, reclaimed) samples each monitor period.
+  // Anomaly-watchdog probe: reports every pool queue (depth, executed) and
+  // the epoch domain (retired, reclaimed) each monitor period.
   static void WatchdogProbeSource(void* ctx,
                                   std::vector<obs::WatchSample>& out);
 
-  // One dispatch-state shard: its epoch domain (owned for shards 1..N-1,
-  // aliasing epoch_ for shard 0) and its raise counter, padded so counters
-  // of different shards never share a cache line.
-  struct alignas(64) ShardState {
-    EpochDomain* epoch = nullptr;
-    std::unique_ptr<EpochDomain> owned_epoch;
-    std::atomic<uint64_t> raises{0};
-  };
-
   Config config_;
-  EpochDomain* epoch_;
   ThreadPool* pool_;
-  uint32_t shard_count_;
-  std::unique_ptr<ShardState[]> shards_;
   QuotaManager quota_;
   std::atomic<bool> profiling_{false};
   std::atomic<bool> tracing_{false};
@@ -555,7 +510,7 @@ BindingHandle Dispatcher::InstallHandler(Event<R(A...)>& event,
   GuardClause clause;
   clause.fn = reinterpret_cast<void*>(guard);
   clause.invoker = &GuardInvoke<bool(A...)>::Call;
-  binding->AddGuardPreActive(std::move(clause), /*front=*/false);
+  binding->AddGuard(std::move(clause), /*front=*/false);
   return Install(event, std::move(binding), opts);
 }
 

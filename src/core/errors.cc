@@ -22,6 +22,8 @@ const char* InstallStatusName(InstallStatus status) {
       return "caller is not the event's authority";
     case InstallStatus::kBindingInactive:
       return "binding is no longer installed";
+    case InstallStatus::kNoSuchGuard:
+      return "binding has no guard at that index";
   }
   return "<bad>";
 }

@@ -37,6 +37,7 @@ enum class InstallStatus {
   kInvalidMicroProgram,
   kNotAuthority,         // caller could not demonstrate authority (§2.5)
   kBindingInactive,
+  kNoSuchGuard,          // guard index past the binding's guard list
 };
 
 const char* InstallStatusName(InstallStatus status);

@@ -6,11 +6,9 @@
 // TcpEndpoint connections, all advanced in virtual time by one
 // sim::Simulator. Every connection binds a stack from src/net/stacks/
 // (selection and hot-swap run through the hosts' §2.5 authorizer when an
-// allow-list is configured), pins its raise source
-// (SourceKind::kConnection) so a sharded dispatcher spreads the fleet,
-// and reports request latency through the obs histogram registry — the
-// numbers surface in ExportMetrics, CaptureStats/WriteJsonStats, and
-// tools/spin_top.py like any other event.
+// allow-list is configured) and reports request latency through the obs
+// histogram registry — the numbers surface in ExportMetrics,
+// CaptureStats/WriteJsonStats, and tools/spin_top.py like any other event.
 //
 // Traffic is open-loop: each connection issues a fixed-size request every
 // request_interval_ns of virtual time regardless of completions, and the

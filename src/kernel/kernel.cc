@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/core/shard.h"
 #include "src/rt/panic.h"
 
 namespace spin {
@@ -131,16 +130,8 @@ uint64_t Kernel::RunUntilIdle(uint64_t max_quanta) {
     // Save/restore the machine register file (context-switch cost model).
     std::memcpy(strand->register_file(), &g_machine_regs,
                 sizeof(g_machine_regs));
-    // The quantum's raise source is the strand: Strand.Run and everything
-    // the strand raises while running land on the strand's dispatcher
-    // shard, like a NIC steering one flow to one queue.
-    bool more;
-    {
-      RaiseSourceScope source(
-          MakeRaiseSource(SourceKind::kStrand, strand->id()));
-      StrandRun.Raise(strand);  // every scheduling op raises Strand.Run
-      more = strand->RunQuantum();
-    }
+    StrandRun.Raise(strand);  // every scheduling op raises Strand.Run
+    bool more = strand->RunQuantum();
     ++quanta;
     current_ = nullptr;
     if (!more || strand->state() == StrandState::kDone) {

@@ -3,7 +3,6 @@
 #include <optional>
 #include <ostream>
 
-#include "src/core/shard.h"
 #include "src/net/stacks/tcp_stack.h"
 #include "src/obs/context.h"
 #include "src/obs/export.h"
@@ -245,13 +244,11 @@ void Host::Receive(Packet packet) {
   // Everything the delivery triggers — the packet-event chain, socket
   // callbacks, an Exporter dispatch — is this host's work; stamp its trace
   // records with the host identity so each sim host gets its own process
-  // row in the exported trace, and pin the dispatch chain to the host's
-  // shard (the host is the raise source for inbound traffic).
+  // row in the exported trace.
   std::optional<obs::HostScope> host_scope;
   if (obs::Enabled()) {
     host_scope.emplace(trace_host_id_);
   }
-  RaiseSourceScope source(MakeRaiseSource(SourceKind::kHost, ip_));
   (void)EtherPacketArrived.Raise(&packet);
 }
 

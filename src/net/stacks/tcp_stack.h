@@ -68,7 +68,7 @@ class TcpStackDriver {
 // particular stack implementation, so replacing the stack object preserves
 // the connection (flight, window, retry budget) exactly.
 struct TcpConn {
-  uint64_t id = 0;  // raise-source id (SourceKind::kConnection)
+  uint64_t id = 0;  // process-unique connection id (names stack modules)
   TcpStackDriver* driver = nullptr;
   sim::Simulator* sim = nullptr;
 

@@ -4,7 +4,6 @@
 #include <atomic>
 
 #include "src/core/errors.h"
-#include "src/core/shard.h"
 #include "src/micro/program.h"
 #include "src/rt/panic.h"
 
@@ -12,8 +11,8 @@ namespace spin {
 namespace net {
 namespace {
 
-// Raise-source ids for SourceKind::kConnection: process-unique so the
-// sharded dispatcher spreads a fleet of connections across shards.
+// Connection ids: process-unique, so each connection's stack module gets
+// its own name (and quota series).
 std::atomic<uint64_t> g_next_conn_id{1};
 
 uint64_t BackoffDeadline(const TcpConn& conn, uint64_t now_ns) {
@@ -186,8 +185,6 @@ void TcpEndpoint::DropStackBindings() {
 }
 
 void TcpEndpoint::RaiseSegmentOut() {
-  RaiseSourceScope source(
-      MakeRaiseSource(SourceKind::kConnection, conn_.id));
   host_.TcpSegmentOut.Raise(&conn_);
 }
 
@@ -295,8 +292,6 @@ void TcpEndpoint::TimerFired() {
     return;
   }
   if (stack_ != nullptr && state_ != State::kDead) {
-    RaiseSourceScope source(
-        MakeRaiseSource(SourceKind::kConnection, conn_.id));
     host_.TcpTimer.Raise(&conn_);
   }
   ScheduleTimer();
@@ -385,8 +380,6 @@ bool TcpEndpoint::Input(TcpEndpoint* ep, Packet* packet) {
     ep->Established();
   }
   if ((flags & kTcpAckFlag) != 0 && ep->stack_ != nullptr) {
-    RaiseSourceScope source(
-        MakeRaiseSource(SourceKind::kConnection, ep->conn_.id));
     ep->host_.TcpAckIn.Raise(&ep->conn_, packet->tcp_ack());
     ep->ScheduleTimer();
   }

@@ -83,18 +83,12 @@ constexpr Family kFamilies[] = {
      "Dispatch routines compiled."},
     {"spin_dispatcher_lazy_promotions_total", "counter",
      "Lazy events promoted to compiled dispatch."},
-    {"spin_dispatcher_stub_replicas_total", "counter",
-     "Per-shard byte-copies of compiled stubs."},
     {"spin_dispatcher_direct_tables_total", "counter",
      "Tables built with the intrinsic-bypass direct call."},
     {"spin_dispatcher_interp_tables_total", "counter",
      "Tables built for interpreted dispatch."},
     {"spin_dispatcher_tree_tables_total", "counter",
      "Tables built with a guard decision tree."},
-    {"spin_dispatcher_shards", "gauge",
-     "Dispatch shards configured for this instance."},
-    {"spin_dispatcher_shard_raises_total", "counter",
-     "Raises routed to each shard."},
     {"spin_pool_queue_depth", "gauge",
      "Tasks waiting in the pool queues."},
     {"spin_pool_pending", "gauge",

@@ -8,7 +8,6 @@
 #include "src/codegen/frame.h"
 #include "src/core/dispatch_state.h"
 #include "src/core/dispatcher.h"
-#include "src/core/shard.h"
 #include "src/obs/context.h"
 #include "src/obs/export.h"
 #include "src/obs/trace.h"
@@ -269,11 +268,12 @@ BindReplyMsg Exporter::Bind(const BindRequestMsg& request,
   // Serialize the imposed guards for proxy-side evaluation. A guard that
   // cannot cross the wire fails the bind closed: granting without it would
   // silently weaken what the authorizer demanded.
-  const std::vector<GuardClause>& guards = client.binding->guards();
-  if (guards.size() > kMaxWireGuards) {
+  const size_t num_guards = client.binding->guard_count();
+  if (num_guards > kMaxWireGuards) {
     return deny("too many imposed guards for " + request.event_name);
   }
-  for (const GuardClause& guard : guards) {
+  for (size_t g = 0; g < num_guards; ++g) {
+    const GuardClause& guard = (*client.binding->guards())[g];
     if (!guard.prog.has_value() || guard.closure_form ||
         guard.prog->num_args() !=
             static_cast<int>(entry.plan.params.size())) {
@@ -360,7 +360,8 @@ ReplyMsg Exporter::Dispatch(const RequestMsg& request) {
   // programs before marshaling (saving this roundtrip on rejection), but
   // the exporter is the trust boundary — raw-wire callers do not get to
   // skip what the authorizer imposed.
-  if (!EvalGuards(*client.binding, frame.args)) {
+  if (!EvalGuards(client.binding->guards(),
+                  static_cast<int>(entry.plan.params.size()), frame.args)) {
     ++guard_rejected_;
     reply.status = WireStatus::kGuardRejected;
     reply.error = "imposed guard rejected raise of " + request.event_name;
@@ -368,11 +369,6 @@ ReplyMsg Exporter::Dispatch(const RequestMsg& request) {
   }
 
   try {
-    // Inbound dispatch is identified by the connection it arrived on: the
-    // capability token pins every raise from one remote binding (and
-    // whatever its handlers raise in turn) to one dispatcher shard.
-    RaiseSourceScope source(
-        MakeRaiseSource(SourceKind::kConnection, request.token));
     entry.event->RaiseErased(frame);
   } catch (const std::exception& e) {
     ++exceptions_;

@@ -7,8 +7,8 @@ namespace spin {
 namespace {
 
 // Per-thread cache of (domain, record) pairs. A thread can hold guards on
-// several domains at once — the global domain plus any number of per-shard
-// dispatcher domains — so a single cached pair is not enough. Entries are
+// several domains at once — the global domain plus any independent domain
+// a component creates — so a single cached pair is not enough. Entries are
 // keyed by the domain's never-reused id: an entry for a destroyed domain
 // can never produce a false hit, and is recognized as stale (and replaced)
 // without its record pointer ever being dereferenced.

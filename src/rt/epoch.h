@@ -13,16 +13,15 @@
 // fence; writers (installs) pay a mutex, which matches the paper's model of
 // rare reconfiguration and frequent dispatch.
 //
-// Multiple domains per thread: a sharded dispatcher gives every shard its
-// own domain, and a handler on one shard may raise into another (or into a
-// single-shard dispatcher on the global domain), nesting guards of
-// *different* domains on one thread. Each thread therefore caches a small
-// set of (domain, record) pairs keyed by a never-reused domain id, and a
-// Guard pins the record it entered through, so exits always decrement the
-// right domain's nesting count no matter how guards interleave. Records are
-// never freed — a destroyed domain's records go to a global recycle pool —
-// so a stale cache entry (dead domain, id mismatch) is detected without
-// ever dereferencing it.
+// Multiple domains per thread: every dispatcher reclaims through the global
+// domain, but the class stays general, and a thread may hold guards of
+// several independent domains at once, nested in any order. Each thread
+// therefore caches a small set of (domain, record) pairs keyed by a
+// never-reused domain id, and a Guard pins the record it entered through,
+// so exits always decrement the right domain's nesting count no matter how
+// guards interleave. Records are never freed — a destroyed domain's
+// records go to a global recycle pool — so a stale cache entry (dead
+// domain, id mismatch) is detected without ever dereferencing it.
 #ifndef SRC_RT_EPOCH_H_
 #define SRC_RT_EPOCH_H_
 

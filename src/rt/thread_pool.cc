@@ -9,6 +9,12 @@ namespace spin {
 namespace {
 // Records a queue's ring holds before its first doubling.
 constexpr size_t kInitialRingRecords = 64;
+
+// The calling thread's home ticket, dealt at its first submit; a pool
+// uses it modulo its queue count.
+constexpr uint64_t kNoHome = ~uint64_t{0};
+thread_local uint64_t g_home = kNoHome;
+std::atomic<uint64_t> g_next_home{0};
 }  // namespace
 
 void ThreadPool::TaskRing::PushBack(Task&& task) {
@@ -74,6 +80,13 @@ ThreadPool::~ThreadPool() {
 ThreadPool& ThreadPool::Global() {
   static ThreadPool* pool = new ThreadPool();  // intentionally leaked
   return *pool;
+}
+
+size_t ThreadPool::HomeQueue() const {
+  if (g_home == kNoHome) {
+    g_home = g_next_home.fetch_add(1, std::memory_order_relaxed);
+  }
+  return static_cast<size_t>(g_home % queues_.size());
 }
 
 void ThreadPool::Post(size_t queue, Task&& task, AsyncMode mode) {

@@ -18,13 +18,14 @@
 // The pooled discipline is multi-queue: one ring of records per worker,
 // each with its own lock, the way per-queue NIC rings keep producers off one
 // shared ring. A ring is a power-of-two array that doubles when full; it
-// never drops, blocks or shrinks. SubmitTo(queue, task) pins work to a
-// queue — the sharded dispatcher routes each shard's async outbox to its own
-// queue — and plain Submit round-robins. Worker i drains queue i first and
-// steals from the other queues' tails when its own runs dry, so a skewed
-// shard hash degrades to shared-queue behavior instead of idling workers.
-// Per-queue depth/executed/stolen counters feed the shard-labeled metric
-// export.
+// never drops, blocks or shrinks. Submit puts a task on the submitting
+// thread's home queue: every thread takes one round-robin at its first
+// submit and keeps it, so concurrent raisers spread over the queues instead
+// of contending on one lock. SubmitTo(queue, task) pins work to a queue. Worker i drains queue i
+// first and steals from the other queues' tails when its own runs dry, so
+// uneven submitters degrade to shared-queue behavior instead of idling
+// workers. Per-queue depth/executed/stolen counters feed the watchdog's
+// queue probe.
 //
 // Wake rule: a worker is *searching* while it is awake and not running a
 // task. A submit wakes a parked worker only when no worker is searching and
@@ -135,13 +136,11 @@ class ThreadPool {
   // Process-wide pool used by dispatchers unless configured otherwise.
   static ThreadPool& Global();
 
-  // Enqueues (or spawns) a task. Never blocks on task execution. Pooled
-  // tasks are spread round-robin across the queues.
+  // Enqueues (or spawns) a task. Never blocks on task execution. A pooled
+  // task goes to the submitting thread's home queue.
   template <typename F>
   void Submit(F&& task, AsyncMode mode = AsyncMode::kPooled) {
-    size_t queue = mode == AsyncMode::kSpawn
-                       ? 0
-                       : next_queue_.fetch_add(1, std::memory_order_relaxed);
+    size_t queue = mode == AsyncMode::kSpawn ? 0 : HomeQueue();
     Post(queue, Task(std::forward<F>(task)), mode);
   }
 
@@ -206,6 +205,9 @@ class ThreadPool {
     std::atomic<uint64_t> stolen{0};    // taken from this queue by a thief
   };
 
+  // The calling thread's queue: the one it was dealt round-robin at its
+  // first submit.
+  size_t HomeQueue() const;
   void Post(size_t queue, Task&& task, AsyncMode mode);
   void Enqueue(size_t queue, Task&& task);
   void Spawn(Task&& task);
@@ -239,7 +241,6 @@ class ThreadPool {
   // FinishTask after in_flight_ hits zero). The destructor must not tear
   // the pool down until each one has made its final store here.
   std::atomic<size_t> spawn_live_{0};
-  std::atomic<uint64_t> next_queue_{0};  // round-robin cursor for Submit
   std::atomic<uint64_t> executed_{0};
   std::atomic<uint64_t> steals_{0};
   bool shutdown_ = false;  // guarded by mu_

@@ -228,6 +228,32 @@ TEST_F(AccessTest, GuardAdditionsCountAgainstQuota) {
       dispatcher.AddMicroGuard(binding, micro::GuardGlobalEq(&cell, 1)));
 }
 
+TEST_F(AccessTest, RemoveGuardPastTheEndThrows) {
+  // Two modules can each read GuardCount == 1 and then remove guard 0; the
+  // second removal names a guard that is gone. It must fail as a reported
+  // install error that changes nothing, not end the process.
+  Dispatcher::Config config;
+  config.quota_bytes_per_module = 8192;
+  Dispatcher dispatcher(config);
+  Event<void(int64_t, int64_t)> event("Test.RemoveGuard", &machine_trap_,
+                                      nullptr, &dispatcher);
+  auto binding = dispatcher.InstallHandler(event, &Noop,
+                                           {.module = &extension_});
+  static uint64_t cell = 1;
+  dispatcher.AddMicroGuard(binding, micro::GuardGlobalEq(&cell, 1));
+  const size_t guards = dispatcher.GuardCount(binding);
+  const size_t usage = dispatcher.quota().Usage(&extension_);
+  try {
+    dispatcher.RemoveGuard(binding, guards, &extension_);
+    FAIL() << "expected InstallError";
+  } catch (const InstallError& e) {
+    EXPECT_EQ(e.status(), InstallStatus::kNoSuchGuard);
+  }
+  EXPECT_EQ(dispatcher.GuardCount(binding), guards);
+  EXPECT_EQ(dispatcher.quota().Usage(&extension_), usage);
+  event.Raise(0, 0);  // the remaining guard still admits the handler
+}
+
 // --- EPHEMERAL handlers (§2.6 "Runaway handlers") -------------------------------
 
 void WellBehavedEphemeral(int64_t, int64_t) { CheckTermination(); }

@@ -371,7 +371,7 @@ TEST_F(AsyncTaskTest, UninstallWhileQueuedKeepsBindingsAlive) {
       dispatcher.Uninstall(binding, &module_);
     }
     bindings.clear();
-    dispatcher.SynchronizeAllShards();
+    dispatcher.epoch().Synchronize();
     release = true;
     pool.Drain();
   }
@@ -382,6 +382,35 @@ TEST_F(AsyncTaskTest, UninstallWhileQueuedKeepsBindingsAlive) {
 }
 
 void QuietBody(Body*, int64_t, int64_t) {}
+
+TEST_F(AsyncTaskTest, AsyncRaisesGoToTheRaisersHomeQueue) {
+  // Both submit sites, a sync raise's async handlers and RaiseAsync, put
+  // their task on the raising thread's home queue. Two fresh threads are
+  // dealt consecutive homes, which are different queues of a 2-worker pool.
+  Event<void(int64_t, int64_t)> event("Task.Home", &module_, nullptr,
+                                      &dispatcher_);
+  Event<void(int64_t, int64_t)> detached("Task.HomeDetached", &module_,
+                                         nullptr, &dispatcher_);
+  Body body{&trail_, 0};
+  dispatcher_.InstallHandler(event, &RecordBody, &body,
+                             {.async = true, .module = &module_});
+  // A sync handler, so each RaiseAsync is one task and submits no other.
+  dispatcher_.InstallHandler(detached, &RecordBody, &body,
+                             {.module = &module_});
+  const uint64_t before[2] = {pool_.executed(0), pool_.executed(1)};
+  for (int t = 0; t < 2; ++t) {
+    std::thread([&event, &detached] {
+      for (int i = 0; i < 16; ++i) {
+        event.Raise(i, i);
+        detached.RaiseAsync(i, i);
+      }
+    }).join();
+  }
+  pool_.Drain();
+  EXPECT_EQ(trail_.order.size(), 64u);
+  EXPECT_EQ(pool_.executed(0) - before[0], 32u);
+  EXPECT_EQ(pool_.executed(1) - before[1], 32u);
+}
 
 TEST_F(AsyncTaskTest, TracedRaiseLinksOneHandoffPerHandler) {
   obs::FlightRecorder::Global().Reset();

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/dispatcher.h"
-#include "src/core/shard.h"
 
 namespace spin {
 namespace {
@@ -24,44 +23,51 @@ int64_t AnchorHandler(int64_t a, int64_t) { return a; }
 bool TrueGuard(int64_t, int64_t) { return true; }
 
 TEST(ConcurrencyTest, RaisesDuringInstallUninstallChurn) {
-  Module module("Churn");
-  Dispatcher dispatcher;
-  Event<int64_t(int64_t, int64_t)> event("Churn.Event", &module, nullptr,
-                                         &dispatcher);
-  // An anchor handler guarantees raises never see an empty table.
-  dispatcher.InstallHandler(event, &AnchorHandler, {.module = &module});
+  // With allow_direct off, the anchor-only generations dispatch through the
+  // table too, so every raise reads a table that installs keep replacing.
+  for (bool allow_direct : {true, false}) {
+    SCOPED_TRACE(allow_direct ? "allow_direct" : "table path only");
+    Module module("Churn");
+    Dispatcher::Config config;
+    config.allow_direct = allow_direct;
+    Dispatcher dispatcher(config);
+    Event<int64_t(int64_t, int64_t)> event("Churn.Event", &module, nullptr,
+                                           &dispatcher);
+    // An anchor handler guarantees raises never see an empty table.
+    dispatcher.InstallHandler(event, &AnchorHandler, {.module = &module});
 
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> raises{0};
-  g_sum = 0;
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> raises{0};
+    g_sum = 0;
 
-  std::vector<std::thread> raisers;
-  for (int t = 0; t < 4; ++t) {
-    raisers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        int64_t r = event.Raise(1, 2);
-        ASSERT_EQ(r, 1);
-        raises.fetch_add(1, std::memory_order_relaxed);
+    std::vector<std::thread> raisers;
+    for (int t = 0; t < 4; ++t) {
+      raisers.emplace_back([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+          int64_t r = event.Raise(1, 2);
+          ASSERT_EQ(r, 1);
+          raises.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+
+    std::thread churner([&] {
+      for (int i = 0; i < 2000; ++i) {
+        auto binding = dispatcher.InstallHandler(event, &TrueGuard,
+                                                 &CountingHandler,
+                                                 {.module = &module});
+        dispatcher.Uninstall(binding, &module);
       }
     });
-  }
 
-  std::thread churner([&] {
-    for (int i = 0; i < 2000; ++i) {
-      auto binding = dispatcher.InstallHandler(event, &TrueGuard,
-                                               &CountingHandler,
-                                               {.module = &module});
-      dispatcher.Uninstall(binding, &module);
+    churner.join();
+    stop.store(true);
+    for (std::thread& t : raisers) {
+      t.join();
     }
-  });
-
-  churner.join();
-  stop.store(true);
-  for (std::thread& t : raisers) {
-    t.join();
+    EXPECT_GT(raises.load(), 0u);
+    dispatcher.epoch().Synchronize();
   }
-  EXPECT_GT(raises.load(), 0u);
-  dispatcher.epoch().Synchronize();
 }
 
 TEST(ConcurrencyTest, GuardImpositionDuringRaises) {
@@ -94,18 +100,16 @@ TEST(ConcurrencyTest, GuardImpositionDuringRaises) {
   dispatcher.epoch().Synchronize();
 }
 
-TEST(ConcurrencyTest, GuardChurnAcrossShardsFreesNoListInUse) {
-  // An interpreted raise on shard k walks its binding's guard list while
-  // holding only shard k's epoch guard. A replaced list may therefore be
-  // freed only after every shard's domain has passed a grace period; under
-  // ASan, freeing it after shard 0's alone is a heap-use-after-free in
-  // EvalGuards.
-  Module module("ShardGuardChurn");
+TEST(ConcurrencyTest, GuardChurnFreesNoListInUse) {
+  // An interpreted raise walks the guard lists of the table it loaded. A
+  // replaced list must therefore live as long as the last table that
+  // references it; under ASan, freeing it any earlier is a
+  // heap-use-after-free in EvalGuards.
+  Module module("GuardListChurn");
   Dispatcher::Config config;
-  config.shards = 4;
   config.enable_jit = false;
   Dispatcher dispatcher(config);
-  Event<int64_t(int64_t, int64_t)> event("ShardGuardChurn.Event", &module,
+  Event<int64_t(int64_t, int64_t)> event("GuardListChurn.Event", &module,
                                          nullptr, &dispatcher);
   dispatcher.InstallHandler(event, &AnchorHandler, {.module = &module});
   auto target = dispatcher.InstallHandler(event, &CountingHandler,
@@ -115,10 +119,8 @@ TEST(ConcurrencyTest, GuardChurnAcrossShardsFreesNoListInUse) {
   std::atomic<int> started{0};
   std::atomic<uint64_t> wrong{0};
   std::vector<std::thread> raisers;
-  for (uint64_t strand = 0; strand < 4; ++strand) {
-    raisers.emplace_back([&, strand] {
-      // Strands 0-3 hash to shards other than 0.
-      RaiseSourceScope source(MakeRaiseSource(SourceKind::kStrand, strand));
+  for (int t = 0; t < 4; ++t) {
+    raisers.emplace_back([&] {
       started.fetch_add(1);
       while (!stop.load(std::memory_order_relaxed)) {
         if (event.Raise(1, 2) != 1) {
@@ -142,12 +144,68 @@ TEST(ConcurrencyTest, GuardChurnAcrossShardsFreesNoListInUse) {
   }
   EXPECT_EQ(wrong.load(), 0u);
   EXPECT_EQ(dispatcher.GuardCount(target), 0u);
-  uint64_t off_shard0 = 0;
-  for (uint32_t s = 1; s < dispatcher.shard_count(); ++s) {
-    off_shard0 += dispatcher.shard_raises(s);
+  dispatcher.epoch().Synchronize();
+}
+
+std::atomic<bool> g_blocker_entered{false};
+std::atomic<bool> g_blocker_release{false};
+std::atomic<int> g_later_fired{0};
+
+int64_t BlockingHandler(int64_t a, int64_t) {
+  g_blocker_entered.store(true);
+  while (!g_blocker_release.load()) {
+    std::this_thread::yield();
   }
-  EXPECT_GT(off_shard0, 0u) << "the raisers must exercise shards 1..3";
-  dispatcher.SynchronizeAllShards();
+  return a;
+}
+
+int64_t LaterHandler(int64_t a, int64_t) {
+  g_later_fired.fetch_add(1);
+  return a;
+}
+
+bool FalseGuard(int64_t, int64_t) { return false; }
+
+TEST(ConcurrencyTest, InFlightRaiseKeepsItsGenerationsGuards) {
+  // A raise dispatches one table generation from start to end. While its
+  // first handler blocks, two guard changes publish newer generations in
+  // which the later handler rejects; the raise in flight must still admit
+  // that handler with the guard it had when the raise began, whether the
+  // handler runs inline or its guards are checked before the pool runs it.
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    g_blocker_entered = false;
+    g_blocker_release = false;
+    g_later_fired = 0;
+    Module module("InFlight");
+    ThreadPool pool(2);
+    Dispatcher::Config config;
+    config.pool = &pool;
+    Dispatcher dispatcher(config);
+    Event<int64_t(int64_t, int64_t)> event("InFlight.Event", &module,
+                                           nullptr, &dispatcher);
+    dispatcher.InstallHandler(event, &BlockingHandler, {.module = &module});
+    auto later = dispatcher.InstallHandler(
+        event, &TrueGuard, &LaterHandler, {.async = async, .module = &module});
+
+    std::thread raiser([&] { (void)event.Raise(1, 2); });
+    while (!g_blocker_entered.load()) {
+      std::this_thread::yield();
+    }
+    dispatcher.AddGuard(event, later, &FalseGuard);
+    dispatcher.RemoveGuard(later, 0, &module);
+    EXPECT_EQ(dispatcher.GuardCount(later), 1u);  // only FalseGuard is left
+    g_blocker_release = true;
+    raiser.join();
+    pool.Drain();
+    EXPECT_EQ(g_later_fired.load(), 1)
+        << "the raise in flight must use its own generation's guards";
+
+    // A raise that starts now reads the newest generation and rejects.
+    (void)event.Raise(1, 2);
+    pool.Drain();
+    EXPECT_EQ(g_later_fired.load(), 1);
+  }
 }
 
 struct GuardGate {
@@ -195,13 +253,11 @@ TEST(ConcurrencyTest, ConcurrentGuardChangesOnOneBindingKeepEveryGuard) {
     imposer.join();
 
     ASSERT_EQ(dispatcher.GuardCount(target), 2u * kRounds);
-    {
-      EpochDomain::Guard epoch_guard(dispatcher.epoch());
-      const std::vector<GuardClause>& guards = target->guards();
-      for (size_t g = 0; g < guards.size(); ++g) {
-        // Imposed guards go to the front, added ones to the back.
-        EXPECT_EQ(guards[g].imposed, g < static_cast<size_t>(kRounds)) << g;
-      }
+    // Both threads are joined, so the install-side list is quiescent.
+    const std::vector<GuardClause>& guards = *target->guards();
+    for (size_t g = 0; g < guards.size(); ++g) {
+      // Imposed guards go to the front, added ones to the back.
+      EXPECT_EQ(guards[g].imposed, g < static_cast<size_t>(kRounds)) << g;
     }
     EXPECT_EQ(event.Raise(5, 0), 5);
     gate.min = 6;  // every imposed GateGuard now rejects
@@ -252,83 +308,28 @@ TEST(ConcurrencyTest, RaiseInsideHandlerNests) {
   EXPECT_EQ(outer.Raise(41, 0), 42);
 }
 
-TEST(ConcurrencyTest, InstallWhileRaisingAcrossShards) {
-  // The sharded variant of the churn test: raisers pinned to different
-  // shards read different table replicas while installs republish all of
-  // them. No raise may ever see a torn replica, a missing anchor, or a
-  // freed table on any shard.
-  Module module("ShardChurn");
-  Dispatcher::Config config;
-  config.shards = 4;
-  config.allow_direct = false;  // keep raises on the replica path
-  Dispatcher dispatcher(config);
-  Event<int64_t(int64_t, int64_t)> event("ShardChurn.Event", &module,
-                                         nullptr, &dispatcher);
-  dispatcher.InstallHandler(event, &AnchorHandler, {.module = &module});
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> raises{0};
-  std::vector<std::thread> raisers;
-  for (int t = 0; t < 4; ++t) {
-    raisers.emplace_back([&, t] {
-      // Distinct strand identities: the raisers spread across replicas
-      // (with 4 shards and splitmix64 these ids cover several shards).
-      RaiseSourceScope source(
-          MakeRaiseSource(SourceKind::kStrand, static_cast<uint64_t>(t)));
-      while (!stop.load(std::memory_order_relaxed)) {
-        int64_t r = event.Raise(1, 2);
-        ASSERT_EQ(r, 1);
-        raises.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  std::thread churner([&] {
-    for (int i = 0; i < 1000; ++i) {
-      auto binding = dispatcher.InstallHandler(
-          event, &TrueGuard, &CountingHandler, {.module = &module});
-      dispatcher.Uninstall(binding, &module);
-    }
-  });
-  churner.join();
-  stop.store(true);
-  for (std::thread& t : raisers) {
-    t.join();
-  }
-  EXPECT_GT(raises.load(), 0u);
-  // Every raise was routed somewhere, and only through real shards.
-  uint64_t routed = 0;
-  for (uint32_t s = 0; s < dispatcher.shard_count(); ++s) {
-    routed += dispatcher.shard_raises(s);
-  }
-  EXPECT_EQ(routed, raises.load());
-  dispatcher.SynchronizeAllShards();
-}
-
-TEST(ConcurrencyTest, LazyPromotionRacesRaisesOnOtherShards) {
+TEST(ConcurrencyTest, LazyPromotionRacesRaises) {
   // lazy_compile defers stub generation until an event proves hot; the
-  // promotion rebuild republishes every shard's replica while raises on
-  // *other* shards keep reading theirs. Exactly one promotion may win, and
-  // no raise may misdispatch across the interpreted->compiled flip.
+  // promotion rebuild republishes the table while other raisers keep
+  // reading the interpreted one. Exactly one promotion may win, and no
+  // raise may misdispatch across the interpreted->compiled flip.
   if (!codegen::CodegenAvailable()) {
     GTEST_SKIP() << "lazy promotion needs the JIT";
   }
-  Module module("ShardLazy");
+  Module module("LazyRace");
   Dispatcher::Config config;
-  config.shards = 4;
   config.allow_direct = false;
   config.lazy_compile = true;
   config.lazy_promote_raises = 64;
   Dispatcher dispatcher(config);
-  Event<int64_t(int64_t, int64_t)> event("ShardLazy.Event", &module,
+  Event<int64_t(int64_t, int64_t)> event("LazyRace.Event", &module,
                                          nullptr, &dispatcher);
   dispatcher.InstallHandler(event, &AnchorHandler, {.module = &module});
 
   std::vector<std::thread> raisers;
   std::atomic<int> failures{0};
   for (int t = 0; t < 4; ++t) {
-    raisers.emplace_back([&, t] {
-      RaiseSourceScope source(
-          MakeRaiseSource(SourceKind::kStrand, static_cast<uint64_t>(t)));
+    raisers.emplace_back([&] {
       for (int i = 0; i < 5000; ++i) {
         if (event.Raise(i, 0) != i) {
           failures.fetch_add(1, std::memory_order_relaxed);
@@ -343,7 +344,7 @@ TEST(ConcurrencyTest, LazyPromotionRacesRaisesOnOtherShards) {
   // 20000 raises against a threshold of 64: promotion certainly fired, and
   // the first-promotion-wins rule kept it to one.
   EXPECT_EQ(dispatcher.stats().lazy_promotions, 1u);
-  dispatcher.SynchronizeAllShards();
+  dispatcher.epoch().Synchronize();
 }
 
 }  // namespace

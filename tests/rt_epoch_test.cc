@@ -147,10 +147,9 @@ TEST(EpochTest, ConcurrentReadersAndWriters) {
 }
 
 TEST(EpochTest, GuardsNestAcrossDistinctDomains) {
-  // A sharded dispatcher gives each shard its own domain, and a handler on
-  // one shard may raise into another: guards of *different* domains nest on
-  // one thread. The outer domain must stay pinned while inner guards on
-  // other domains come and go.
+  // Guards of *different* domains may nest on one thread (code holding one
+  // domain's guard enters another's). The outer domain must stay pinned
+  // while inner guards on other domains come and go.
   EpochDomain outer_domain;
   EpochDomain inner_domain;
   std::atomic<bool> freed{false};
@@ -201,9 +200,8 @@ TEST(EpochTest, ManyDomainsPerThreadSurviveCacheEviction) {
 
 TEST(EpochTest, DomainChurnWithThreadsDoesNotCrossContaminate) {
   // Domains are created and destroyed while a long-lived thread keeps
-  // entering guards on fresh ones (the shape of tests constructing sharded
-  // dispatchers back to back against the global pool). Destroyed domains'
-  // records must never produce a false cache hit for a new domain. The
+  // entering guards on fresh ones. Destroyed domains' records must never
+  // produce a false cache hit for a new domain. The
   // mutex sequences the reader's guard against domain destruction; what is
   // under test is the reader's thread-local record cache surviving 200
   // generations of dead domains.

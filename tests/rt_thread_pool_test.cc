@@ -121,17 +121,34 @@ TEST(ThreadPoolTest, AllQueuesDrainWhenWorkIsPinnedToOne) {
   EXPECT_EQ(pool.steals(), pool.steals(0));
 }
 
-TEST(ThreadPoolTest, RoundRobinSubmitSpreadsAcrossQueues) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 400; ++i) {
-    pool.Submit([&] { count.fetch_add(1); });
+TEST(ThreadPoolTest, SubmitUsesTheSubmittingThreadsHomeQueue) {
+  {
+    // One thread keeps one home: all its submits count against one queue.
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([] {});
+    }
+    pool.Drain();
+    size_t homes = 0;
+    for (size_t q = 0; q < pool.queues(); ++q) {
+      if (pool.executed(q) != 0) {
+        ++homes;
+        EXPECT_EQ(pool.executed(q), 100u) << "queue " << q;
+      }
+    }
+    EXPECT_EQ(homes, 1u);
   }
-  pool.Drain();
-  EXPECT_EQ(count.load(), 400);
-  // Round-robin distributes submissions evenly across the four queues.
-  for (size_t q = 0; q < pool.queues(); ++q) {
-    EXPECT_EQ(pool.executed(q), 100u) << "queue " << q;
+  {
+    // Threads are dealt homes round-robin at their first submit, so four
+    // fresh submitters cover the four queues.
+    ThreadPool pool(4);
+    for (int t = 0; t < 4; ++t) {
+      std::thread([&pool] { pool.Submit([] {}); }).join();
+    }
+    pool.Drain();
+    for (size_t q = 0; q < pool.queues(); ++q) {
+      EXPECT_EQ(pool.executed(q), 1u) << "queue " << q;
+    }
   }
 }
 
