@@ -67,10 +67,10 @@ spin::bench::LatencyStats StatsTenHandlersTraced(
     const spin::Dispatcher::Config& config, size_t samples) {
   spin::obs::FlightRecorder::Global().Reset();
   return WithTenHandlers(config, [samples](auto& event) {
-    event.owner().EnableTracing(true);
+    event.owner().SetTracing({spin::obs::TraceMode::kFull});
     auto stats = spin::bench::NsPerOpStats([&] { event.Raise(7); },
                                            samples);
-    event.owner().EnableTracing(false);
+    event.owner().SetTracing({spin::obs::TraceMode::kOff});
     return stats;
   });
 }

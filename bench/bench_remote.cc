@@ -144,7 +144,7 @@ SyncResult SyncRoundtripTraced(int rounds, bool tracing) {
   client_ev.Raise(1, 2);  // warmup (exporter map, socket path)
   if (tracing) {
     spin::obs::FlightRecorder::Global().Reset();
-    rig.dispatcher.EnableTracing(true);
+    rig.dispatcher.SetTracing({spin::obs::TraceMode::kFull});
   }
   std::vector<uint64_t> wire_ns(rounds);
   std::vector<uint64_t> host_ns(rounds);
@@ -159,7 +159,7 @@ SyncResult SyncRoundtripTraced(int rounds, bool tracing) {
     }
   }
   if (tracing) {
-    rig.dispatcher.EnableTracing(false);
+    rig.dispatcher.SetTracing({spin::obs::TraceMode::kOff});
   }
 
   spin::remote::RequestMsg probe;
@@ -224,14 +224,14 @@ void PhaseAttributionRow(const char* name, bool with_guard, int rounds,
 
   client_ev.Raise(args...);  // warmup (exporter map, socket path)
   spin::obs::FlightRecorder::Global().Reset();
-  rig.dispatcher.EnableTracing(true);
+  rig.dispatcher.SetTracing({spin::obs::TraceMode::kFull});
   {
     spin::obs::HostScope on_client(rig.client.trace_host_id());
     for (int i = 0; i < rounds; ++i) {
       client_ev.Raise(args...);
     }
   }
-  rig.dispatcher.EnableTracing(false);
+  rig.dispatcher.SetTracing({spin::obs::TraceMode::kOff});
 
   spin::obs::TraceQuery query(spin::obs::FlightRecorder::Global().Snapshot());
   spin::obs::CriticalPath paths(query);

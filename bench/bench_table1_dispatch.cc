@@ -123,9 +123,16 @@ bench::LatencyStats IntrinsicStats(const Module& module,
 //
 // threads x handlers aggregate throughput, sync and async. Sync raisers all
 // read the event's one table; async raisers each submit to their own home
-// queue of a 16-worker pool.
+// queue of a 16-worker pool. Each cell is timed over a fixed window with
+// its raisers already running, so thread start and the pool's wake-up fall
+// outside it.
 
 constexpr size_t kMatrixPoolWorkers = 16;
+constexpr auto kMatrixWarmup = std::chrono::milliseconds(50);
+constexpr auto kMatrixWindow = std::chrono::milliseconds(300);
+// Async raisers hold back while this many pool tasks are pending, so a cell
+// measures raises the pool also runs, and its backlog stays small.
+constexpr size_t kMatrixMaxBacklog = 4096;
 
 void MatrixSink(int64_t a) { benchmark::DoNotOptimize(g_sink += a); }
 
@@ -137,40 +144,61 @@ struct MatrixRow {
   double ns_per_raise;
 };
 
-// Runs `threads` raisers against a fresh dispatcher; returns aggregate
-// throughput over the timed region.
-template <typename RaiseBody>
+// Runs `threads` raisers against `event`: a warm-up, a pause in which
+// `settle` drains what the warm-up left queued, then a kMatrixWindow window
+// whose raises are counted. The timed region ends when `settle` has run the
+// window's own backlog. `backlogged` tells an async raiser to hold back.
+template <typename Settle, typename Backlogged>
 MatrixRow MeasureMatrixCell(const char* mode, int threads, int handlers,
-                            size_t iters, Event<void(int64_t)>& event,
-                            RaiseBody body) {
-  std::atomic<int> ready{0};
-  std::atomic<bool> go{false};
+                            Event<void(int64_t)>& event, Settle settle,
+                            Backlogged backlogged) {
+  enum Phase : int { kWarm, kPause, kMeasure, kStop };
+  std::atomic<int> phase{kWarm};
+  std::atomic<int> paused{0};
+  std::atomic<uint64_t> measured{0};
+  auto raise_while = [&](Phase p, int64_t& i) {
+    uint64_t n = 0;
+    while (phase.load(std::memory_order_relaxed) == p) {
+      for (int k = 0; k < 64; ++k, ++n) {
+        event.Raise(i++);
+      }
+      while (backlogged()) {
+        std::this_thread::yield();
+      }
+    }
+    return n;
+  };
   std::vector<std::thread> raisers;
   raisers.reserve(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t) {
     raisers.emplace_back([&] {
-      ready.fetch_add(1);
-      while (!go.load(std::memory_order_acquire)) {
+      int64_t i = 0;
+      raise_while(kWarm, i);
+      paused.fetch_add(1);
+      while (phase.load(std::memory_order_acquire) == kPause) {
         std::this_thread::yield();
       }
-      for (size_t i = 0; i < iters; ++i) {
-        event.Raise(static_cast<int64_t>(i));
-      }
+      measured.fetch_add(raise_while(kMeasure, i));
     });
   }
-  while (ready.load() < threads) {
+  std::this_thread::sleep_for(kMatrixWarmup);
+  phase.store(kPause);
+  while (paused.load() < threads) {
     std::this_thread::yield();
   }
+  settle();
   auto start = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
+  phase.store(kMeasure, std::memory_order_release);
+  std::this_thread::sleep_for(kMatrixWindow);
+  phase.store(kStop);
   for (std::thread& t : raisers) {
     t.join();
   }
-  body();  // mode-specific settle step (e.g. drain the pool)
+  settle();
   double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  double total = static_cast<double>(iters) * threads;
+  double total = static_cast<double>(measured.load());
   return {mode, threads, handlers, total / secs, secs * 1e9 / total};
 }
 
@@ -184,8 +212,8 @@ MatrixRow SyncMatrixCell(const Module& module, int threads, int handlers) {
                                    micro::ReturnConst(1, 0, /*functional=*/false),
                                    {.module = &module});
   }
-  size_t iters = std::max<size_t>(20000, 200000 / static_cast<size_t>(handlers));
-  return MeasureMatrixCell("sync", threads, handlers, iters, event, [] {});
+  return MeasureMatrixCell(
+      "sync", threads, handlers, event, [] {}, [] { return false; });
 }
 
 MatrixRow AsyncMatrixCell(const Module& module, int threads, int handlers) {
@@ -201,9 +229,9 @@ MatrixRow AsyncMatrixCell(const Module& module, int threads, int handlers) {
     dispatcher.InstallHandler(event, &MatrixSink,
                               {.async = true, .module = &module});
   }
-  size_t iters = std::max<size_t>(200, 10000 / static_cast<size_t>(handlers));
-  return MeasureMatrixCell("async", threads, handlers, iters, event,
-                           [&] { pool.Drain(); });
+  return MeasureMatrixCell(
+      "async", threads, handlers, event, [&] { pool.Drain(); },
+      [&] { return pool.pending() >= kMatrixMaxBacklog; });
 }
 
 void WriteMatrixJson(const char* path, const std::vector<MatrixRow>& rows) {

@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
   };
 
   // Window 1 — full-fidelity capture: every record kind exercised.
-  dispatcher.EnableTracing(true);
+  dispatcher.SetTracing({spin::obs::TraceMode::kFull});
   const char* requests[] = {"index.html", "logo.png", "missing.html",
                             "index.html", "logo.png", "index.html"};
   for (const char* request : requests) {
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
   }
   dispatcher.pool().Drain();  // let async error logs finish inside the window
   auto records = spin::obs::FlightRecorder::Global().Snapshot();
-  dispatcher.EnableTracing(false);
+  dispatcher.SetTracing({spin::obs::TraceMode::kOff});
 
   std::ofstream trace(trace_path);
   spin::obs::WriteChromeTrace(trace, records);

@@ -71,15 +71,15 @@ int main(int argc, char** argv) {
   opts.local_port = 9050;
   remote::EventProxy proxy(atlas, &sim, stage, opts);
 
-  // Capture window: everything between EnableTracing(true/false).
+  // Capture window: everything between SetTracing(kFull) and kOff.
   obs::FlightRecorder::Global().Reset();
-  dispatcher.EnableTracing(true);
+  dispatcher.SetTracing({obs::TraceMode::kFull});
   {
     obs::HostScope on_atlas(atlas.trace_host_id());
     stage.Raise(42);
   }
   dispatcher.pool().Drain();
-  dispatcher.EnableTracing(false);
+  dispatcher.SetTracing({obs::TraceMode::kOff});
 
   auto records = obs::FlightRecorder::Global().Snapshot();
   obs::TraceQuery query(records);

@@ -72,21 +72,28 @@ struct AsyncTask {
   EventBase* event = nullptr;
   uint64_t mask = 0;        // unit k is (*list)[first + k'th set bit]
   uint32_t first = 0;
+  // The raise's plan, re-entered on the pool side: each unit is timed and
+  // traced exactly when the raise was.
+  obs::Observe observe = obs::Observe::kNone;
+  bool watchdog = false;
   uint64_t budget_ns = 0;   // EPHEMERAL budget of the raising table
   uint64_t enqueue_ns = 0;  // traced handoffs: the enqueue clock read
   obs::TraceContext span;   // sampling decision, and the base span id
   uint64_t args[kMaxEventArgs] = {};
 
-  // Records what the pool side re-installs: the sampling decision and, for
-  // a captured raise, one span per unit, each announced by a kAsyncEnqueue
-  // record (the flow start) before the pool runs it.
-  void Prepare(const RaiseFrame& frame, bool tracing) {
+  // Records the raise's plan and, for a traced raise, one span per unit,
+  // each announced by a kAsyncEnqueue record (the flow start) before the
+  // pool runs it.
+  void Prepare(const RaiseFrame& frame, const obs::RaisePlan& plan) {
     std::memcpy(args, frame.args, sizeof(args));
-    if (tracing) {
+    observe = plan.observe();
+    watchdog = plan.watchdog();
+    span.decision = plan.decision();
+    if (plan.traced()) {
       const obs::TraceContext& cur = obs::CurrentContext();
       span = obs::TraceContext{
           obs::NewSpanIds(static_cast<uint32_t>(std::popcount(mask))),
-          cur.span, cur.host, obs::SampleDecision::kTrace};
+          cur.span, cur.host, plan.decision()};
       enqueue_ns = NowNs();
       uint64_t id = span.span;
       for (uint64_t bits = mask; bits != 0; bits &= bits - 1) {
@@ -94,38 +101,27 @@ struct AsyncTask {
             obs::TraceKind::kAsyncEnqueue, event->obs_name(), enqueue_ns,
             first + std::countr_zero(bits), id++, span.parent);
       }
-    } else if (obs::Enabled()) {
-      // Sampled out: hand the skip to the pool thread so it doesn't make a
-      // fresh top-level decision mid-tree.
-      span.decision = obs::SampleDecision::kSkip;
     }
   }
 
   void operator()();
-  void RunBody(const Binding& binding, bool tracing, bool timed,
+  void RunBody(const Binding& binding, const obs::RaisePlan& plan,
                uint64_t start) const;
 };
 
 void AsyncTask::operator()() {
-  // Re-install the enqueue site's sampling decision before anything here
-  // can emit, so the handoff stays inside (or outside) the same sampled
-  // tree. An undecided context — tracing was off at enqueue time — is left
-  // undecided; a nested raise decides fresh.
-  std::optional<obs::SampleScope> sample;
-  if (span.decision != obs::SampleDecision::kUndecided) {
-    sample.emplace(span.decision);
-  }
-  const bool tracing = obs::Capturing();
-  const bool timed = tracing || obs::WatchdogWantsTiming();
+  // Re-enter the raise's plan before anything here can emit, so the
+  // handoff stays inside (or outside) the same sampled tree.
+  const obs::RaisePlan plan(observe, watchdog, span.decision);
   const char* name = event->obs_name();
   uint64_t span_id = span.span;
   for (uint64_t bits = mask; bits != 0; bits &= bits - 1) {
-    uint64_t start = timed ? NowNs() : 0;
+    uint64_t start = plan.timed() ? NowNs() : 0;
     // Adopt the span the enqueue site allocated for this unit so
     // kAsyncEnqueue (raising thread) and kAsyncExecute (this thread)
     // stitch; this scope is the span's final executor.
     std::optional<obs::SpanScope> adopted;
-    if (tracing && span_id != 0) {
+    if (plan.traced() && span_id != 0) {
       adopted.emplace(obs::TraceContext{span_id++, span.parent, span.host,
                                         span.decision},
                       /*complete_on_exit=*/true);
@@ -144,13 +140,12 @@ void AsyncTask::operator()() {
         // Detached raise: errors have no raiser to land on.
       }
     } else {
-      RunBody(*(*list)[first + std::countr_zero(bits)].binding, tracing,
-              timed, start);
+      RunBody(*(*list)[first + std::countr_zero(bits)].binding, plan, start);
     }
   }
 }
 
-void AsyncTask::RunBody(const Binding& binding, bool tracing, bool timed,
+void AsyncTask::RunBody(const Binding& binding, const obs::RaisePlan& plan,
                         uint64_t start) const {
   // Every body sees the arguments as raised, and its own EPHEMERAL deadline.
   uint64_t slots[kMaxEventArgs];
@@ -160,18 +155,20 @@ void AsyncTask::RunBody(const Binding& binding, bool tracing, bool timed,
   uint64_t result = 0;
   try {
     obs::PhaseScope body_phase(obs::Phase::kHandlerBody,
-                               binding.event->obs_name(), tracing);
+                               binding.event->obs_name(), plan.traced());
     RunHandler(binding, slots, &result, deadline);
   } catch (const DispatchError&) {
     // Detached execution: nobody to report to (§2.6). The raise's later
     // bodies still run.
   }
-  if (timed) {
+  if (plan.timed()) {
     uint64_t elapsed = NowNs() - start;
     obs::EventMetrics& metrics = binding.event->metrics();
     metrics.Record(obs::DispatchKind::kAsync, elapsed);
-    obs::CheckDispatch(binding.event->obs_name(), 0, elapsed,
-                       metrics.slow_ns());
+    if (plan.watchdog()) {
+      obs::CheckDispatch(binding.event->obs_name(), 0, elapsed,
+                         metrics.slow_ns());
+    }
   }
 }
 
@@ -182,7 +179,7 @@ void AsyncTask::RunBody(const Binding& binding, bool tracing, bool timed,
 [[gnu::noinline]] void ScheduleAsyncBindings(EventBase& event,
                                              const DispatchTable& table,
                                              RaiseFrame& frame,
-                                             bool tracing) {
+                                             const obs::RaisePlan& plan) {
   const AsyncBindingList& list = *table.async_bindings;
   const int num_args = static_cast<int>(event.sig().params.size());
   for (size_t first = 0; first < list.size(); first += 64) {
@@ -192,12 +189,12 @@ void AsyncTask::RunBody(const Binding& binding, bool tracing, bool timed,
       bool admitted;
       {
         obs::PhaseScope guard_phase(obs::Phase::kGuardEval, event.obs_name(),
-                                    tracing);
+                                    plan.traced());
         admitted = EvalGuards(list[i].guards, num_args, frame.args);
       }
       if (admitted) {
         mask |= uint64_t{1} << (i - first);
-      } else if (tracing) {
+      } else if (plan.traced()) {
         obs::FlightRecorder::Global().Emit(obs::TraceKind::kGuardReject,
                                            event.obs_name(),
                                            table.sync_bindings.size() + i);
@@ -213,7 +210,7 @@ void AsyncTask::RunBody(const Binding& binding, bool tracing, bool timed,
     task.mask = mask;
     task.first = static_cast<uint32_t>(first);
     task.budget_ns = table.ephemeral_budget_ns;
-    task.Prepare(frame, tracing);
+    task.Prepare(frame, plan);
     Dispatcher& dispatcher = event.owner();
     dispatcher.pool().Submit(std::move(task), dispatcher.config().async_mode);
   }
@@ -312,10 +309,10 @@ bool RunHandler(const Binding& binding, uint64_t* slots, uint64_t* result,
 }
 
 void ExecuteTable(EventBase& event, const DispatchTable& table,
-                  RaiseFrame& frame) {
+                  RaiseFrame& frame, const obs::RaisePlan& plan) {
   frame.result = table.InitialResult();
 
-  const bool tracing = obs::Capturing();
+  const bool tracing = plan.traced();
 
   if (table.stub != nullptr) {
     // Compiled dispatch fuses guard evaluation and handler bodies into one
@@ -378,7 +375,7 @@ void ExecuteTable(EventBase& event, const DispatchTable& table,
   }
 
   if (table.async_bindings != nullptr) {
-    ScheduleAsyncBindings(event, table, frame, tracing);
+    ScheduleAsyncBindings(event, table, frame, plan);
   }
 
   if (frame.fired == 0) {
@@ -397,23 +394,16 @@ void ExecuteTable(EventBase& event, const DispatchTable& table,
 
 void EventBase::RaiseErased(RaiseFrame& frame) {
   Dispatcher& dispatcher = *owner_;
-  // The sampling decision is made exactly once, at the top-level raise, and
-  // inherited by the whole causal tree: a nested raise sees a decided
-  // context and keeps it, so a captured trace is always a complete tree.
-  std::optional<obs::SampleScope> sample;
-  if (obs::Enabled() &&
-      obs::CurrentContext().decision == obs::SampleDecision::kUndecided) {
-    sample.emplace(obs::DecideTopLevel());
-  }
-  const bool tracing = obs::Capturing();
-  const bool timed =
-      tracing || dispatcher.profiling() || obs::WatchdogWantsTiming();
-  uint64_t start = timed ? NowNs() : 0;
+  // What this raise times and traces is decided here, once; a top-level
+  // raise's sampling decision is inherited by its whole causal tree, so a
+  // captured trace is always a complete tree.
+  const obs::RaisePlan plan;
+  uint64_t start = plan.timed() ? NowNs() : 0;
   // Every traced dispatch is a span: a top-level raise opens a root, a
   // raise from inside a handler opens a child of the enclosing span. The
   // scope closes by RAII, so an escaping exception still completes it.
   std::optional<obs::SpanScope> span;
-  if (tracing) {
+  if (plan.traced()) {
     span.emplace();
     obs::FlightRecorder::Global().EmitAt(obs::TraceKind::kRaiseBegin,
                                          obs_name_, start);
@@ -431,18 +421,20 @@ void EventBase::RaiseErased(RaiseFrame& frame) {
       promote = lazy_raises_.fetch_add(1, std::memory_order_relaxed) + 1 >=
                 dispatcher.config().lazy_promote_raises;
     }
-    ExecuteTable(*this, *table, frame);
+    ExecuteTable(*this, *table, frame, plan);
   }
   if (promote) {
     // The event proved hot: compile its dispatch routine now (§3.1's
     // "more incremental (and economical) approach to installation").
     dispatcher.PromoteLazyEvent(*this);
   }
-  if (timed) {
+  if (plan.timed()) {
     uint64_t end = NowNs();
     metrics_->Record(kind, end - start);
-    obs::CheckDispatch(obs_name_, 0, end - start, metrics_->slow_ns());
-    if (tracing) {
+    if (plan.watchdog()) {
+      obs::CheckDispatch(obs_name_, 0, end - start, metrics_->slow_ns());
+    }
+    if (plan.traced()) {
       obs::FlightRecorder::Global().EmitAt(obs::TraceKind::kRaiseEnd,
                                            obs_name_, end);
     }
@@ -451,18 +443,14 @@ void EventBase::RaiseErased(RaiseFrame& frame) {
 
 void EventBase::RaiseAsyncErased(const RaiseFrame& frame) {
   Dispatcher& dispatcher = *owner_;
-  // A detached raise is its own top level: decide here, at the enqueue
+  // A detached raise is its own top level: plan it here, at the enqueue
   // site, so the kAsyncEnqueue record and the pool-side execution agree on
   // whether the tree is sampled.
-  std::optional<obs::SampleScope> sample;
-  if (obs::Enabled() &&
-      obs::CurrentContext().decision == obs::SampleDecision::kUndecided) {
-    sample.emplace(obs::DecideTopLevel());
-  }
+  const obs::RaisePlan plan;
   AsyncTask task;
   task.event = this;
   task.mask = 1;
-  task.Prepare(frame, obs::Capturing());
+  task.Prepare(frame, plan);
   dispatcher.pool().Submit(std::move(task), dispatcher.config().async_mode);
 }
 

@@ -21,6 +21,7 @@
 #include "src/codegen/frame.h"
 #include "src/codegen/stub_compiler.h"
 #include "src/core/binding.h"
+#include "src/obs/context.h"
 #include "src/obs/obs.h"
 #include "src/types/module.h"
 #include "src/types/signature.h"
@@ -75,7 +76,7 @@ struct DispatchTable {
   bool lazy_pending = false;
 
   // The dispatch kind raises through this table are accounted under. When
-  // profiling or tracing suppresses the intrinsic-bypass, this still says
+  // kTimed or kFull suppresses the intrinsic-bypass, this still says
   // kDirect: metrics classify by the event's production dispatch mode.
   obs::DispatchKind obs_kind = obs::DispatchKind::kInterp;
 
@@ -160,9 +161,11 @@ class EventBase {
 
   // Installed-handler statistics for diagnostics and the Table 3 profile.
   // Counts and elapsed time are sourced from the observability histograms
-  // (src/obs), which accumulate whenever the owner is profiling or the
-  // flight recorder is enabled. All accumulation is per-stripe relaxed
-  // atomics, so concurrent raises never tear and reset is race-safe.
+  // (src/obs), which accumulate for every raise whose RaisePlan times it
+  // (kTimed, kFull, a sampled tree, an armed watchdog). raise_count() and
+  // raise_ns() count raises only, not async handler bodies. All
+  // accumulation is per-stripe relaxed atomics, so concurrent raises never
+  // tear and reset is race-safe.
   size_t handler_count() const;
   size_t guard_count() const;
   uint64_t raise_count() const { return metrics_->TotalCount(); }
@@ -201,7 +204,7 @@ class EventBase {
   bool force_interp_ = false;  // per-event JIT opt-out (ablations)
   uint32_t version_ = 0;
 
-  // Raise-side statistics (updated when the owner profiles or traces).
+  // Raise-side statistics (updated for every timed raise and async body).
   std::shared_ptr<obs::EventMetrics> metrics_;
   const char* obs_name_ = nullptr;
 
@@ -210,10 +213,11 @@ class EventBase {
   bool hot_ = false;  // guarded by the dispatcher's mutex
 };
 
-// Executes one dispatch against `table`. Admitted async handlers count as
-// fired; their bodies run later on the pool.
+// Executes one dispatch against `table` under the raise's observation plan.
+// Admitted async handlers count as fired; their bodies run later on the
+// pool, under the same plan.
 void ExecuteTable(EventBase& event, const DispatchTable& table,
-                  RaiseFrame& frame);
+                  RaiseFrame& frame, const obs::RaisePlan& plan);
 
 // Evaluates a guard list against the argument slots of an event with
 // `num_args` parameters; a null list admits. The interpreter and the async

@@ -739,33 +739,20 @@ void Dispatcher::SetForceInterp(EventBase& event, bool force) {
   RebuildLocked(event);
 }
 
-void Dispatcher::EnableProfiling(bool enabled) {
-  profiling_.store(enabled, std::memory_order_release);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (EventBase* event : events_) {
-    RebuildLocked(*event);  // profiling disables the direct-call bypass
-  }
-}
-
 void Dispatcher::SetTracing(const obs::TraceConfig& config) {
-  // The obs switch is process-global (the flight recorder is shared);
-  // tracing_ scopes the table rebuilds to this dispatcher's events. Only
-  // kFull suppresses the bypass and stubs — sampled capture keeps
-  // production dispatch and trades per-handler records for a hot path
-  // that stays hot.
-  obs::SetTraceConfig(config);
-  tracing_.store(config.mode == obs::TraceMode::kFull,
-                 std::memory_order_release);
+  // The mode is process-global (the flight recorder is shared);
+  // trace_mode_ scopes the table rebuilds to this dispatcher's events.
   std::lock_guard<std::mutex> lock(mu_);
+  obs::SetTraceConfig(config);
+  trace_mode_ = config.mode;
   for (EventBase* event : events_) {
     RebuildLocked(*event);
   }
 }
 
-void Dispatcher::EnableTracing(bool enabled) {
-  obs::TraceConfig config = obs::GetTraceConfig();
-  config.mode = enabled ? obs::TraceMode::kFull : obs::TraceMode::kOff;
-  SetTracing(config);
+obs::TraceMode Dispatcher::trace_mode() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return trace_mode_;
 }
 
 std::vector<EventBase*> Dispatcher::Events() const {
@@ -803,9 +790,10 @@ void Dispatcher::RebuildLocked(EventBase& event) {
   }
 
   // --- D1: intrinsic-bypass direct call --------------------------------
-  // The candidate is computed regardless of profiling/tracing so the table
-  // can classify itself by production dispatch mode (obs_kind) even when
-  // the bypass itself is suppressed for measurement fidelity.
+  // The candidate is computed regardless of the mode so the table can
+  // classify itself by production dispatch mode (obs_kind) even when the
+  // bypass itself is suppressed: a direct call has no hook, so it is off
+  // whenever every raise is timed (kTimed, kFull).
   void* direct_candidate = nullptr;
   if (config_.allow_direct && !event.async_event() &&
       table->async_bindings == nullptr && table->sync_bindings.size() == 1 &&
@@ -817,13 +805,16 @@ void Dispatcher::RebuildLocked(EventBase& event) {
       direct_candidate = only.fn;
     }
   }
-  void* direct = profiling() || tracing() ? nullptr : direct_candidate;
+  const bool full = trace_mode_ == obs::TraceMode::kFull;
+  void* direct = full || trace_mode_ == obs::TraceMode::kTimed
+                     ? nullptr
+                     : direct_candidate;
 
   // --- D3: runtime code generation --------------------------------------
-  // Tracing also disables stubs: generated code dispatches handlers without
+  // kFull also disables stubs: generated code dispatches handlers without
   // per-handler hooks, so a full-fidelity capture interprets instead.
   size_t num_args = event.sig().params.size();
-  bool jitable = direct == nullptr && !tracing() && config_.enable_jit &&
+  bool jitable = direct == nullptr && !full && config_.enable_jit &&
                  !event.force_interp_ && codegen::CodegenAvailable() &&
                  SigJitable(event.sig()) && table->custom_fold == nullptr &&
                  !table->sync_bindings.empty();
@@ -935,7 +926,7 @@ void Dispatcher::RebuildLocked(EventBase& event) {
     }
   }
   if (direct_candidate != nullptr) {
-    // Even when profiling/tracing routes raises through a stub or the
+    // Even when kTimed or kFull routes raises through a stub or the
     // interpreter, account them under the production dispatch kind.
     table->obs_kind = obs::DispatchKind::kDirect;
   } else if (table->stub == nullptr) {

@@ -250,13 +250,12 @@ class Dispatcher {
 
   // --- Introspection -----------------------------------------------------
 
-  void EnableProfiling(bool enabled);
-  bool profiling() const {
-    return profiling_.load(std::memory_order_acquire);
-  }
-
-  // Flight-recorder capture for this dispatcher's events.
+  // The one observation switch: sets the process-wide mode (obs.h) and
+  // rebuilds this dispatcher's tables for it.
   //
+  // kTimed times every raise into the latency histograms (the Table 3
+  // counts and elapsed times, src/profile) and emits no records; its
+  // tables drop the intrinsic bypass, which has no hook, and keep stubs.
   // kFull rebuilds every dispatch table at full fidelity — no intrinsic
   // bypass and no generated stubs — so per-handler records (guard
   // rejections, handler fires, filter mutations) are emitted for every
@@ -264,13 +263,11 @@ class Dispatcher {
   // captures 1-in-sample_rate top-level raises with their complete causal
   // trees at raise/span granularity; the unsampled path pays only the
   // thread-local sampling decision, so sampled tracing can stay on under
-  // production traffic. kOff restores production dispatch and clears the
-  // process-wide obs switch. See src/obs/trace.h for exporting a capture.
+  // production traffic. kOff restores production dispatch. See
+  // src/obs/trace.h for exporting a capture.
   void SetTracing(const obs::TraceConfig& config);
-  // Boolean compatibility wrapper: true = kFull, false = kOff.
-  void EnableTracing(bool enabled);
-  // True when tables are rebuilt at full fidelity (mode == kFull).
-  bool tracing() const { return tracing_.load(std::memory_order_acquire); }
+  // The mode this dispatcher's tables were last rebuilt for.
+  obs::TraceMode trace_mode() const;
 
   std::vector<EventBase*> Events() const;
 
@@ -347,8 +344,6 @@ class Dispatcher {
   Config config_;
   ThreadPool* pool_;
   QuotaManager quota_;
-  std::atomic<bool> profiling_{false};
-  std::atomic<bool> tracing_{false};
   const uint64_t instance_id_;  // label for exported metrics
   // Interned identities stamped into watchdog anomaly records.
   const char* watch_pool_name_ = nullptr;
@@ -356,6 +351,7 @@ class Dispatcher {
 
   mutable std::mutex mu_;  // guards install-side state of all owned events
   std::vector<EventBase*> events_;
+  obs::TraceMode trace_mode_ = obs::TraceMode::kOff;  // read by RebuildLocked
   Stats stats_;
 };
 

@@ -24,6 +24,12 @@
 namespace spin {
 
 class Kernel {
+  // Module identities (authorities over the events below). Declared first:
+  // the events' constructors install intrinsics with these modules as
+  // authority, so they must be constructed before any event member.
+  Module strand_module_{"Strand"};
+  Module machine_trap_module_{"MachineTrap"};
+
  public:
   explicit Kernel(Dispatcher* dispatcher = &Dispatcher::Global());
 
@@ -41,7 +47,6 @@ class Kernel {
 
   Vm vm;
 
-  // Module identities (authorities over the events above).
   const Module& strand_module() const { return strand_module_; }
   const Module& machine_trap_module() const { return machine_trap_module_; }
 
@@ -85,8 +90,6 @@ class Kernel {
   static void IdleStrandRun(Strand*) {}  // intrinsic scheduler hook
   static void UnknownSyscall(Strand*, SavedState& state);
 
-  Module strand_module_{"Strand"};
-  Module machine_trap_module_{"MachineTrap"};
   Dispatcher* dispatcher_;
 
   static void IdleClockTick(int64_t) {}

@@ -43,20 +43,35 @@ const TraceContext& CurrentContext() { return t_context; }
 
 TraceContext& internal::MutableContext() { return t_context; }
 
-SampleDecision DecideTopLevel() {
-  if (CurrentTraceMode() == TraceMode::kFull) {
-    return SampleDecision::kTrace;
+void RaisePlan::PlanTrace(TraceMode mode) {
+  decision_ = t_context.decision;
+  if (decision_ == SampleDecision::kUndecided) {
+    // The countdown is thread-local: the unsampled path touches no shared
+    // state, and the pattern is deterministic for single-threaded tests.
+    decision_ = SampleDecision::kTrace;
+    if (mode == TraceMode::kSampled) {
+      thread_local uint32_t t_countdown = 0;
+      uint32_t rate = internal::g_sample_rate.load(std::memory_order_relaxed);
+      if (++t_countdown >= rate) {
+        t_countdown = 0;
+      } else {
+        decision_ = SampleDecision::kSkip;
+      }
+    }
+    scope_.emplace(decision_);
   }
-  // Sampled: capture every rate-th top-level raise this thread makes. The
-  // counter is thread-local, so the unsampled path touches no shared state
-  // and the pattern is deterministic for single-threaded tests.
-  thread_local uint32_t t_countdown = 0;
-  uint32_t rate = internal::g_sample_rate.load(std::memory_order_relaxed);
-  if (++t_countdown >= rate) {
-    t_countdown = 0;
-    return SampleDecision::kTrace;
+  if (decision_ != SampleDecision::kSkip) {
+    observe_ = Observe::kTraced;
+  } else if (watchdog_) {
+    observe_ = Observe::kTimed;
   }
-  return SampleDecision::kSkip;
+}
+
+RaisePlan::RaisePlan(Observe observe, bool watchdog, SampleDecision decision)
+    : observe_(observe), watchdog_(watchdog), decision_(decision) {
+  if (decision != SampleDecision::kUndecided) {
+    scope_.emplace(decision);
+  }
 }
 
 SampleScope::SampleScope(SampleDecision decision)

@@ -10,12 +10,14 @@
 // Snapshot()/TraceQuery reassemble "what did raise #N actually cause"
 // across threads and hosts.
 //
-// Everything here is tracing-path-only: the dispatcher consults this file
-// solely under obs::Enabled(), so the tracing-off raise cost is unchanged.
+// What a raise records at all — nothing, its time, or its trace — is
+// decided once per raise by RaisePlan (below); the rest of this file is
+// tracing-path-only, consulted only when a plan says the raise is traced.
 #ifndef SRC_OBS_CONTEXT_H_
 #define SRC_OBS_CONTEXT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "src/obs/obs.h"
@@ -48,13 +50,6 @@ struct TraceContext {
 // The context active on this thread. Mutate only through the scopes below.
 const TraceContext& CurrentContext();
 
-// Makes the per-tree sampling decision for a top-level raise: kTrace in
-// full mode, and every sample_rate-th call per thread in sampled mode (a
-// thread-local counter — no atomics, no clock read, deterministic on one
-// thread). Call only when Enabled() and CurrentContext().decision is
-// kUndecided; the caller installs the result with a SampleScope.
-SampleDecision DecideTopLevel();
-
 // True when records emitted from the current context should be captured:
 // the recorder is enabled and the active sampling decision (if any) is not
 // kSkip. Control-plane emission outside any raise is always captured.
@@ -75,6 +70,53 @@ class SampleScope {
 
  private:
   SampleDecision saved_;
+};
+
+// What one raise observes: nothing; its time, into the latency histograms
+// and the watchdog's deadline check; or its trace (spans, records, phases)
+// as well as its time.
+enum class Observe : uint8_t { kNone, kTimed, kTraced };
+
+// The observation plan of one raise, made where the raise enters the
+// dispatcher (EventBase::RaiseErased, RaiseAsyncErased) from one load of
+// the mode and one of the watchdog's armed flag; every hook of the raise
+// reads the plan. kOff plans kNone (kTimed while the watchdog is armed),
+// kTimed kTimed, kFull kTraced, and kSampled kTraced for a sampled tree,
+// else as kOff. Under kSampled and kFull a top-level raise (no decision in
+// scope) decides for its tree — kFull always traces, kSampled every
+// sample_rate-th top-level raise of a thread, by a thread-local countdown
+// — and the plan installs that decision for its lifetime, so nested raises
+// and async handoffs inherit it.
+class RaisePlan {
+ public:
+  RaisePlan() {
+    const TraceMode mode = CurrentTraceMode();
+    watchdog_ = internal::g_watchdog_armed.load(std::memory_order_relaxed);
+    if (mode >= TraceMode::kSampled) {
+      PlanTrace(mode);
+    } else if (mode == TraceMode::kTimed || watchdog_) {
+      observe_ = Observe::kTimed;
+    }
+  }
+  // Re-enters the plan of a raise queued on another thread: its async
+  // bodies are timed and traced exactly when it was, under its decision.
+  RaisePlan(Observe observe, bool watchdog, SampleDecision decision);
+
+  Observe observe() const { return observe_; }
+  bool timed() const { return observe_ != Observe::kNone; }
+  bool traced() const { return observe_ == Observe::kTraced; }
+  // The watchdog was armed: check each measured time against its deadline.
+  bool watchdog() const { return watchdog_; }
+  // The tree's sampling decision; kUndecided under kOff and kTimed.
+  SampleDecision decision() const { return decision_; }
+
+ private:
+  void PlanTrace(TraceMode mode);
+
+  Observe observe_ = Observe::kNone;
+  bool watchdog_ = false;
+  SampleDecision decision_ = SampleDecision::kUndecided;
+  std::optional<SampleScope> scope_;  // installs a decision this plan made
 };
 
 // Allocates a fresh process-unique span id (never 0) and counts it as

@@ -8,7 +8,6 @@ namespace obs {
 
 namespace internal {
 
-std::atomic<bool> g_enabled{false};
 std::atomic<uint8_t> g_trace_mode{0};
 std::atomic<uint32_t> g_sample_rate{128};
 
@@ -19,19 +18,11 @@ uint32_t ThreadIndexSlow() {
 
 }  // namespace internal
 
-void SetEnabled(bool enabled) {
-  TraceConfig config = GetTraceConfig();
-  config.mode = enabled ? TraceMode::kFull : TraceMode::kOff;
-  SetTraceConfig(config);
-}
-
 void SetTraceConfig(const TraceConfig& config) {
   uint32_t rate = config.sample_rate == 0 ? 1 : config.sample_rate;
   internal::g_sample_rate.store(rate, std::memory_order_relaxed);
   internal::g_trace_mode.store(static_cast<uint8_t>(config.mode),
                                std::memory_order_relaxed);
-  internal::g_enabled.store(config.mode != TraceMode::kOff,
-                            std::memory_order_relaxed);
 }
 
 TraceConfig GetTraceConfig() {
@@ -268,24 +259,24 @@ void Histogram::Reset() {
 
 uint64_t EventMetrics::TotalCount() const {
   uint64_t n = 0;
-  for (const Histogram& h : hist_) {
-    n += h.Count();
+  for (size_t k = 0; k < kNumRaiseKinds; ++k) {
+    n += hist_[k].Count();
   }
   return n;
 }
 
 uint64_t EventMetrics::TotalSumNs() const {
   uint64_t sum = 0;
-  for (const Histogram& h : hist_) {
-    sum += h.SumNs();
+  for (size_t k = 0; k < kNumRaiseKinds; ++k) {
+    sum += hist_[k].SumNs();
   }
   return sum;
 }
 
 HistogramSnapshot EventMetrics::Merged() const {
   HistogramSnapshot merged;
-  for (const Histogram& h : hist_) {
-    merged.Merge(h.Snapshot());
+  for (size_t k = 0; k < kNumRaiseKinds; ++k) {
+    merged.Merge(hist_[k].Snapshot());
   }
   return merged;
 }

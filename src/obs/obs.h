@@ -1,5 +1,5 @@
 // Observability substrate (spin_obs): latency histograms and the global
-// enable switch shared with the flight recorder (trace.h) and the metric
+// observation mode shared with the flight recorder (trace.h) and the metric
 // exporter (export.h).
 //
 // The paper instrumented the kernel "to generate call graph information
@@ -10,11 +10,11 @@
 // striped across cache lines so concurrent raises on different threads do
 // not contend.
 //
-// Cost discipline: every hook in the dispatcher is gated on Enabled(), a
-// single relaxed atomic load and a predictable branch. The intrinsic-bypass
-// fast path (Event::Raise direct call) carries no hook at all; enabling
-// tracing rebuilds dispatch tables without the bypass, the same discipline
-// Dispatcher::EnableProfiling already uses.
+// Cost discipline: a raise reads the mode once, in its RaisePlan
+// (context.h), and every hook in the dispatcher reads the plan. The
+// intrinsic-bypass fast path (Event::Raise direct call) carries no hook at
+// all; Dispatcher::SetTracing rebuilds dispatch tables without the bypass
+// whenever the mode times every raise (kTimed, kFull).
 #ifndef SRC_OBS_OBS_H_
 #define SRC_OBS_OBS_H_
 
@@ -31,9 +31,11 @@ namespace spin {
 namespace obs {
 
 namespace internal {
-extern std::atomic<bool> g_enabled;
 extern std::atomic<uint8_t> g_trace_mode;
 extern std::atomic<uint32_t> g_sample_rate;
+// Set while the anomaly watchdog (watchdog.h) is armed: every raise is
+// timed for its deadline check.
+extern std::atomic<bool> g_watchdog_armed;
 // Small dense per-thread index used to pick a histogram stripe.
 uint32_t ThreadIndexSlow();
 inline uint32_t ThreadIndex() {
@@ -42,27 +44,19 @@ inline uint32_t ThreadIndex() {
 }
 }  // namespace internal
 
-// Master switch for trace-record emission and (together with dispatcher
-// profiling) histogram recording. Relaxed: observers tolerate a stale view
-// for a few raises around the toggle.
-inline bool Enabled() {
-  return internal::g_enabled.load(std::memory_order_relaxed);
-}
-void SetEnabled(bool enabled);
-
-// --- Sampled tracing ------------------------------------------------------
+// --- Observation modes ----------------------------------------------------
 //
-// Full tracing records every raise; sampled tracing records 1-in-N
-// *top-level* raises and everything they cause. The decision is made once
-// where a causal tree starts (a raise with no enclosing sampling decision)
-// with a thread-local counter — no atomics, no clock read — and is
-// inherited by nested raises, async pool handoffs, and wire-carried
-// dispatches, so every captured trace is a complete span tree and the
-// unsampled path costs only the decision branch.
+// One process-wide mode decides what raises record; a raise reads it once,
+// in its RaisePlan (context.h). Sampled tracing records 1-in-N *top-level*
+// raises and everything they cause: the decision is inherited by nested
+// raises, async pool handoffs, and wire-carried dispatches, so every
+// captured trace is a complete span tree and the unsampled path costs only
+// the decision branch.
 enum class TraceMode : uint8_t {
-  kOff = 0,      // no records, no spans (g_enabled false)
-  kSampled = 1,  // capture 1-in-sample_rate top-level raises
-  kFull = 2,     // capture everything (the historical EnableTracing(true))
+  kOff = 0,      // nothing timed (unless the watchdog is armed), no records
+  kTimed = 1,    // every raise timed into the histograms, no records
+  kSampled = 2,  // capture 1-in-sample_rate top-level raises
+  kFull = 3,     // capture everything
 };
 
 struct TraceConfig {
@@ -72,10 +66,10 @@ struct TraceConfig {
   uint32_t sample_rate = 128;
 };
 
-// Installs the process-wide trace configuration. kOff clears the master
-// switch; kSampled/kFull set it. Note the obs layer only controls record
-// emission — Dispatcher::SetTracing additionally rebuilds dispatch tables
-// (full fidelity interprets; sampled keeps production stubs).
+// Installs the process-wide observation mode. Note the obs layer only
+// controls what raises record — Dispatcher::SetTracing additionally
+// rebuilds dispatch tables (kTimed and kFull drop the intrinsic bypass,
+// kFull also interprets; kSampled keeps production stubs and bypass).
 void SetTraceConfig(const TraceConfig& config);
 TraceConfig GetTraceConfig();
 
@@ -84,12 +78,17 @@ inline TraceMode CurrentTraceMode() {
       internal::g_trace_mode.load(std::memory_order_relaxed));
 }
 
-// RAII enable/restore, for tests and short capture windows. Captures at
-// full fidelity; the previous TraceConfig (mode and rate) is restored on
-// exit.
+// True when the mode emits trace records (kSampled, kFull). Relaxed:
+// observers tolerate a stale view for a few raises around the toggle.
+inline bool Enabled() { return CurrentTraceMode() >= TraceMode::kSampled; }
+
+// RAII full-fidelity capture window, for tests: switches the mode to kFull
+// and restores the previous TraceConfig (mode and rate) on exit.
 class EnableScope {
  public:
-  EnableScope() : prev_(GetTraceConfig()) { SetEnabled(true); }
+  EnableScope() : prev_(GetTraceConfig()) {
+    SetTraceConfig({TraceMode::kFull, prev_.sample_rate});
+  }
   ~EnableScope() { SetTraceConfig(prev_); }
   EnableScope(const EnableScope&) = delete;
   EnableScope& operator=(const EnableScope&) = delete;
@@ -145,6 +144,9 @@ enum class DispatchKind : uint8_t {
   kAsync,       // handler body executed on the thread pool
 };
 constexpr size_t kNumDispatchKinds = 5;
+// The kinds a raise itself is accounted under (kDirect..kInterp); kAsync
+// samples are async handler bodies, one per admitted body.
+constexpr size_t kNumRaiseKinds = 4;
 const char* DispatchKindName(DispatchKind kind);
 
 // --- Log-bucketed latency histogram ------------------------------------
@@ -250,9 +252,11 @@ class EventMetrics {
     return hist_[static_cast<size_t>(kind)];
   }
 
+  // Raises and their summed time: the raise kinds only, so an async body
+  // is not counted as a raise.
   uint64_t TotalCount() const;
   uint64_t TotalSumNs() const;
-  // All dispatch kinds merged into one distribution.
+  // The raise kinds merged into one distribution.
   HistogramSnapshot Merged() const;
   void Reset();
 

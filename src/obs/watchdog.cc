@@ -233,7 +233,10 @@ void Watchdog::RefreshSlowDeadlines() {
     return;
   }
   for (const auto& metrics : Registry::Global().List()) {
+    // The deadline covers raises and async bodies alike (CheckDispatch
+    // times both), so it derives from both distributions.
     HistogramSnapshot snap = metrics->Merged();
+    snap.Merge(metrics->hist(DispatchKind::kAsync).Snapshot());
     if (snap.count < config.min_samples) {
       continue;
     }

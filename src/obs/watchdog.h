@@ -3,11 +3,13 @@
 //
 // Two detection planes share one reporting path:
 //   - Inline deadline checks. The dispatch hot path calls CheckDispatch
-//     with each measured raise duration (it measures whenever tracing,
-//     profiling, or the watchdog is on). The limit is per-event — derived
-//     from that event's observed p99 by the monitor thread, capped by the
-//     absolute deadline — so a uniformly slow event and a single stalled
-//     handler both trip it. Cost when disarmed: one relaxed load.
+//     with each measured raise and async body duration whenever the
+//     raise's RaisePlan (context.h) saw the watchdog armed; an armed
+//     watchdog makes the plan time every raise. The limit is per-event —
+//     derived from that event's observed p99 by the monitor thread, capped
+//     by the absolute deadline — so a uniformly slow event and a single
+//     stalled handler both trip it. Cost when disarmed: the plan's one
+//     relaxed load.
 //   - A low-frequency monitor thread. Each period it polls registered
 //     probes (pool queues, epoch domains, remote retry counters — the
 //     observed layers register themselves, keeping spin_obs dependency-
@@ -43,10 +45,9 @@ namespace spin {
 namespace obs {
 
 namespace internal {
-// One relaxed load on the dispatch path decides whether to time a raise
-// for the watchdog; g_slow_ns is the absolute deadline fallback when an
-// event has no derived per-event deadline yet.
-extern std::atomic<bool> g_watchdog_armed;
+// The absolute deadline fallback when an event has no derived per-event
+// deadline yet. (The armed flag, g_watchdog_armed, is declared in obs.h:
+// the RaisePlan reads it.)
 extern std::atomic<uint64_t> g_slow_ns;
 }  // namespace internal
 
@@ -226,15 +227,12 @@ class Watchdog {
   bool stop_ = false;  // guarded by mu_
 };
 
-// Inline hot-path hook: called with each measured dispatch duration.
+// Inline hot-path hook: called with each measured dispatch duration when
+// the raise's plan saw the watchdog armed (RaisePlan::watchdog()).
 // `event_slow_ns` is EventMetrics::slow_ns() (0 = use the absolute
-// deadline). Disarmed cost: the armed() load already happened at the
-// caller to decide whether to time at all, so this is a compare.
+// deadline).
 inline void CheckDispatch(const char* event_name, uint32_t shard, uint64_t ns,
                           uint64_t event_slow_ns) {
-  if (!internal::g_watchdog_armed.load(std::memory_order_relaxed)) {
-    return;
-  }
   uint64_t limit = event_slow_ns != 0
                        ? event_slow_ns
                        : internal::g_slow_ns.load(std::memory_order_relaxed);
@@ -242,12 +240,6 @@ inline void CheckDispatch(const char* event_name, uint32_t shard, uint64_t ns,
     Watchdog::Global().Report(AnomalyKind::kSlowHandler, event_name, shard,
                               ns);
   }
-}
-
-// True when the dispatch path should measure durations for the watchdog
-// even though tracing and profiling are off.
-inline bool WatchdogWantsTiming() {
-  return internal::g_watchdog_armed.load(std::memory_order_relaxed);
 }
 
 }  // namespace obs

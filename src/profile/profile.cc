@@ -6,11 +6,12 @@
 namespace spin {
 namespace profile {
 
-Profiler::Profiler(Dispatcher& dispatcher) : dispatcher_(dispatcher) {
-  dispatcher_.EnableProfiling(true);
+Profiler::Profiler(Dispatcher& dispatcher)
+    : dispatcher_(dispatcher), prev_(obs::GetTraceConfig()) {
+  dispatcher_.SetTracing({obs::TraceMode::kTimed, prev_.sample_rate});
 }
 
-Profiler::~Profiler() { dispatcher_.EnableProfiling(false); }
+Profiler::~Profiler() { dispatcher_.SetTracing(prev_); }
 
 void Profiler::Reset() {
   for (EventBase* event : dispatcher_.Events()) {

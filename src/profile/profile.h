@@ -1,10 +1,11 @@
 // Event profiling (the instrumentation behind Table 3).
 //
 // "We instrumented the kernel and extension code to generate call graph
-// information with counts and elapsed times" (§3.2). The dispatcher keeps
-// per-event raise counts and cumulative dispatch time when profiling is
-// enabled; this module snapshots them into the same columns Table 3 prints:
-// event name, raised, time, handlers, guards.
+// information with counts and elapsed times" (§3.2). Under
+// obs::TraceMode::kTimed every raise is timed into its event's latency
+// histograms (src/obs); this module switches that mode on and snapshots the
+// histograms into the same columns Table 3 prints: event name, raised,
+// time, handlers, guards.
 #ifndef SRC_PROFILE_PROFILE_H_
 #define SRC_PROFILE_PROFILE_H_
 
@@ -24,7 +25,7 @@ struct EventProfile {
   double time_s = 0;
   size_t handlers = 0;
   size_t guards = 0;
-  // Raise-latency distribution (all dispatch kinds merged), from the
+  // Raise-latency distribution (the raise kinds merged), from the
   // observability histograms. Percentiles are log-bucket upper bounds.
   uint64_t p50_ns = 0;
   uint64_t p90_ns = 0;
@@ -32,7 +33,8 @@ struct EventProfile {
   uint64_t max_ns = 0;
 };
 
-// RAII: enables dispatcher profiling for its lifetime.
+// RAII: sets the dispatcher's mode to kTimed for its lifetime and restores
+// the previous trace configuration on exit.
 class Profiler {
  public:
   explicit Profiler(Dispatcher& dispatcher);
@@ -59,6 +61,7 @@ class Profiler {
   static EventProfile Sample(const EventBase& event);
 
   Dispatcher& dispatcher_;
+  const obs::TraceConfig prev_;
 };
 
 }  // namespace profile

@@ -4,129 +4,57 @@
 #include "src/rt/panic.h"
 
 namespace spin {
-namespace {
 
-// Per-thread cache of (domain, record) pairs. A thread can hold guards on
-// several domains at once — the global domain plus any independent domain
-// a component creates — so a single cached pair is not enough. Entries are
-// keyed by the domain's never-reused id: an entry for a destroyed domain
-// can never produce a false hit, and is recognized as stale (and replaced)
-// without its record pointer ever being dereferenced.
-struct TlsSlot {
-  uint64_t domain_id = 0;  // 0 = empty
-  EpochDomain* domain = nullptr;
-  void* record = nullptr;
-};
-
-constexpr size_t kTlsSlots = 8;
-
-struct TlsCache {
-  TlsSlot slots[kTlsSlots];
-  size_t next_victim = 0;
-};
-
-thread_local TlsCache g_tls;
-
-std::atomic<uint64_t> g_next_domain_id{1};
-
-uint64_t NextDomainId() {
-  return g_next_domain_id.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
+thread_local EpochDomain::ThreadRecord* EpochDomain::t_record_ = nullptr;
 
 EpochDomain& EpochDomain::Global() {
   static EpochDomain* domain = new EpochDomain();  // intentionally leaked
   return *domain;
 }
 
-EpochDomain::EpochDomain() : id_(NextDomainId()) {}
-
-namespace {
-
-// Records of destroyed domains. They are never freed: a thread's cache may
-// still hold a pointer into a dead domain's record list, and while such an
-// entry is never *dereferenced* (its domain id can no longer match), keeping
-// the memory alive makes that property cheap to maintain and lets new
-// domains recycle the records instead of leaking per-domain.
-Spinlock g_record_pool_lock;
-void* g_record_pool_head = nullptr;  // chained via ThreadRecord::next
-
-}  // namespace
-
-EpochDomain::~EpochDomain() {
-  // Free everything still retired; callers must have quiesced.
-  for (auto& list : retired_) {
-    for (const Retired& r : list) {
-      r.deleter(r.ptr);
-    }
-    list.clear();
-  }
-  ThreadRecord* rec = records_.load(std::memory_order_acquire);
-  if (rec != nullptr) {
-    ThreadRecord* tail = rec;
-    while (tail->next != nullptr) {
-      tail = tail->next;
-    }
-    std::lock_guard<Spinlock> lock(g_record_pool_lock);
-    tail->next = static_cast<ThreadRecord*>(g_record_pool_head);
-    g_record_pool_head = rec;
-  }
+EpochDomain::RecordRelease::~RecordRelease() {
+  // Thread exit: no guard is held, so the record is idle. Hand it to the
+  // next thread that needs one; it stays on the list, idle, meanwhile.
+  ThreadRecord* rec = t_record_;
+  t_record_ = nullptr;
+  rec->in_use.store(false, std::memory_order_release);
 }
 
 EpochDomain::ThreadRecord* EpochDomain::AcquireRecord() {
-  for (TlsSlot& slot : g_tls.slots) {
-    if (slot.domain == this && slot.domain_id == id_) {
-      return static_cast<ThreadRecord*>(slot.record);
-    }
-  }
-  // Slow path: adopt a record for this (thread, domain) pair. Prefer one
-  // recycled from a destroyed domain, then allocate.
+  // Registers the release at this thread's exit. (A guard entered by a
+  // thread_local destructor that runs after it takes a record it never
+  // gives back; the record stays idle, so it costs a list entry only.)
+  [[maybe_unused]] static thread_local RecordRelease release;
   ThreadRecord* rec = nullptr;
-  {
-    std::lock_guard<Spinlock> lock(g_record_pool_lock);
-    if (g_record_pool_head != nullptr) {
-      rec = static_cast<ThreadRecord*>(g_record_pool_head);
-      g_record_pool_head = rec->next;
-    }
-  }
-  if (rec != nullptr) {
-    rec->epoch.store(kIdle, std::memory_order_relaxed);
-    rec->in_use.store(true, std::memory_order_relaxed);
-    rec->nesting = 0;
-  } else {
-    rec = new ThreadRecord();
-    rec->in_use.store(true, std::memory_order_relaxed);
-  }
-  ThreadRecord* head = records_.load(std::memory_order_relaxed);
-  do {
-    rec->next = head;
-  } while (!records_.compare_exchange_weak(head, rec,
-                                           std::memory_order_release,
-                                           std::memory_order_relaxed));
-  // Cache it: take an empty slot, else evict round-robin. Eviction only
-  // overwrites the slot — the displaced record stays registered with its
-  // domain (a later cache miss on that domain simply registers a fresh
-  // record), and any guard currently holding it keeps its direct pointer.
-  TlsSlot* victim = nullptr;
-  for (TlsSlot& slot : g_tls.slots) {
-    if (slot.domain_id == 0) {
-      victim = &slot;
+  for (ThreadRecord* r = records_.load(std::memory_order_acquire);
+       r != nullptr; r = r->next) {
+    bool in_use = false;
+    if (!r->in_use.load(std::memory_order_relaxed) &&
+        r->in_use.compare_exchange_strong(in_use, true,
+                                          std::memory_order_acquire)) {
+      rec = r;  // a record freed by an exited thread
       break;
     }
   }
-  if (victim == nullptr) {
-    victim = &g_tls.slots[g_tls.next_victim];
-    g_tls.next_victim = (g_tls.next_victim + 1) % kTlsSlots;
+  if (rec == nullptr) {
+    rec = new ThreadRecord();
+    rec->in_use.store(true, std::memory_order_relaxed);
+    ThreadRecord* head = records_.load(std::memory_order_relaxed);
+    do {
+      rec->next = head;
+    } while (!records_.compare_exchange_weak(head, rec,
+                                             std::memory_order_release,
+                                             std::memory_order_relaxed));
   }
-  victim->domain_id = id_;
-  victim->domain = this;
-  victim->record = rec;
+  t_record_ = rec;
   return rec;
 }
 
 EpochDomain::ThreadRecord* EpochDomain::Enter() {
-  ThreadRecord* rec = AcquireRecord();
+  ThreadRecord* rec = t_record_;
+  if (rec == nullptr) {
+    rec = AcquireRecord();
+  }
   if (rec->nesting++ > 0) {
     return rec;  // already pinned by an enclosing guard
   }
@@ -145,12 +73,9 @@ void EpochDomain::Exit(ThreadRecord* rec) {
   }
 }
 
-EpochDomain::Guard::Guard(EpochDomain& domain)
-    : domain_(domain), record_(domain.Enter()) {}
+EpochDomain::Guard::Guard(EpochDomain& domain) : record_(domain.Enter()) {}
 
-EpochDomain::Guard::~Guard() {
-  domain_.Exit(static_cast<ThreadRecord*>(record_));
-}
+EpochDomain::Guard::~Guard() { Exit(static_cast<ThreadRecord*>(record_)); }
 
 void EpochDomain::Retire(void* p, void (*deleter)(void*)) {
   bool flush = false;
@@ -239,6 +164,15 @@ void EpochDomain::Synchronize() {
 
 size_t EpochDomain::retired_count() const {
   return retired_total_.load(std::memory_order_relaxed);
+}
+
+size_t EpochDomain::record_count() const {
+  size_t n = 0;
+  for (ThreadRecord* rec = records_.load(std::memory_order_acquire);
+       rec != nullptr; rec = rec->next) {
+    ++n;
+  }
+  return n;
 }
 
 }  // namespace spin

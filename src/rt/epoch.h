@@ -13,15 +13,13 @@
 // fence; writers (installs) pay a mutex, which matches the paper's model of
 // rare reconfiguration and frequent dispatch.
 //
-// Multiple domains per thread: every dispatcher reclaims through the global
-// domain, but the class stays general, and a thread may hold guards of
-// several independent domains at once, nested in any order. Each thread
-// therefore caches a small set of (domain, record) pairs keyed by a
-// never-reused domain id, and a Guard pins the record it entered through,
-// so exits always decrement the right domain's nesting count no matter how
-// guards interleave. Records are never freed — a destroyed domain's
-// records go to a global recycle pool — so a stale cache entry (dead
-// domain, id mismatch) is detected without ever dereferencing it.
+// One domain, one record per thread: every dispatcher reclaims through
+// EpochDomain::Global(), the only domain. A thread takes a record at its
+// first guard and keeps it in a thread_local; at thread exit the record is
+// marked free, and the next new thread reuses it before a record is
+// allocated. So the list a writer walks to advance the epoch holds as many
+// records as there were threads alive at once, not every thread that ever
+// entered a guard (AsyncMode::kSpawn starts one thread per async raise).
 #ifndef SRC_RT_EPOCH_H_
 #define SRC_RT_EPOCH_H_
 
@@ -36,17 +34,14 @@ namespace spin {
 
 class EpochDomain {
  public:
-  EpochDomain();
-  ~EpochDomain();
   EpochDomain(const EpochDomain&) = delete;
   EpochDomain& operator=(const EpochDomain&) = delete;
 
-  // Process-wide domain shared by all dispatchers.
+  // The process-wide domain shared by all dispatchers, and the only one.
   static EpochDomain& Global();
 
   // RAII critical-section token. Nestable: inner guards piggyback on the
-  // outermost one (a handler may itself raise events), including across
-  // distinct domains — each guard pins the record it entered through.
+  // outermost one (a handler may itself raise events).
   class Guard {
    public:
     explicit Guard(EpochDomain& domain);
@@ -55,8 +50,7 @@ class EpochDomain {
     Guard& operator=(const Guard&) = delete;
 
    private:
-    EpochDomain& domain_;
-    void* record_;  // ThreadRecord*, owned by (thread, domain)
+    void* record_;  // the thread's ThreadRecord
   };
 
   // Schedules `p` to be destroyed with `deleter` once no critical section
@@ -74,6 +68,8 @@ class EpochDomain {
 
   // Diagnostics.
   size_t retired_count() const;
+  // Thread records on the list a writer walks, in use or free.
+  size_t record_count() const;
   uint64_t epoch() const { return global_epoch_.load(std::memory_order_relaxed); }
   // Objects freed over the domain's lifetime. With retired_count(), exposes
   // reclamation lag to the metric exporter.
@@ -84,9 +80,13 @@ class EpochDomain {
  private:
   struct ThreadRecord {
     std::atomic<uint64_t> epoch{kIdle};
-    std::atomic<bool> in_use{false};
+    std::atomic<bool> in_use{false};  // owned by a live thread
     uint32_t nesting = 0;  // accessed only by the owning thread
     ThreadRecord* next = nullptr;
+  };
+  // Frees the calling thread's record at thread exit.
+  struct RecordRelease {
+    ~RecordRelease();
   };
 
   struct Retired {
@@ -97,16 +97,17 @@ class EpochDomain {
   static constexpr uint64_t kIdle = ~0ull;
   static constexpr size_t kFlushThreshold = 64;
 
+  EpochDomain() = default;
+  ~EpochDomain() = default;
+
   ThreadRecord* AcquireRecord();
   ThreadRecord* Enter();
-  void Exit(ThreadRecord* rec);
+  static void Exit(ThreadRecord* rec);
   // Returns true if the epoch advanced. Caller holds retire_lock_.
   bool TryAdvanceLocked();
   size_t ReclaimLocked();
 
-  // Never reused across domains; lets stale thread-local cache entries for
-  // a destroyed domain be recognized without dereferencing their record.
-  const uint64_t id_;
+  static thread_local ThreadRecord* t_record_;
 
   std::atomic<ThreadRecord*> records_{nullptr};
   std::atomic<uint64_t> global_epoch_{0};

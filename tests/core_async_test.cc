@@ -422,10 +422,10 @@ TEST_F(AsyncTaskTest, TracedRaiseLinksOneHandoffPerHandler) {
                                {.async = true, .module = &module_});
   }
   const uint64_t before = pool_.executed();
-  dispatcher_.EnableTracing(true);
+  dispatcher_.SetTracing({obs::TraceMode::kFull});
   event.Raise(1, 2);
   pool_.Drain();
-  dispatcher_.EnableTracing(false);
+  dispatcher_.SetTracing({obs::TraceMode::kOff});
   EXPECT_EQ(pool_.executed() - before, 1u);
 
   uint64_t raise_span = 0;

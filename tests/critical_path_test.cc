@@ -182,10 +182,10 @@ obs::CriticalPath::PhaseBreakdown TraceOneRoundtrip(uint16_t port,
   if (sampled) {
     // Zero the thread-local countdown so rate 1 samples the next raise.
     obs::SetTraceConfig({obs::TraceMode::kSampled, 1});
-    (void)obs::DecideTopLevel();
+    { const obs::RaisePlan top_level; }
     dispatcher.SetTracing({obs::TraceMode::kSampled, 1});
   } else {
-    dispatcher.EnableTracing(true);
+    dispatcher.SetTracing({obs::TraceMode::kFull});
   }
   {
     obs::HostScope on_client(client_host.trace_host_id());

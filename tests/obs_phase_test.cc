@@ -202,9 +202,9 @@ TEST(ObsPhaseTest, TracedSyncDispatchStampsInterpGuardAndBodyPhases) {
   auto binding = dispatcher.InstallHandler(event, &CountingHandler, &ctx);
   dispatcher.AddGuard(event, binding, &PassingGuard);
 
-  dispatcher.EnableTracing(true);
+  dispatcher.SetTracing({obs::TraceMode::kFull});
   event.Raise(7);
-  dispatcher.EnableTracing(false);
+  dispatcher.SetTracing({obs::TraceMode::kOff});
   EXPECT_EQ(ctx.calls, 1);
 
   std::set<obs::Phase> seen;
@@ -238,7 +238,7 @@ TEST(ObsPhaseTest, SampledDispatchAttributesToTheStub) {
 
   // Zero the thread-local sampling countdown so rate 1 samples every raise.
   obs::SetTraceConfig({obs::TraceMode::kSampled, 1});
-  (void)obs::DecideTopLevel();
+  { const obs::RaisePlan top_level; }
 
   dispatcher.SetTracing({obs::TraceMode::kSampled, 1});
   event.Raise(7);
@@ -271,10 +271,10 @@ TEST(ObsPhaseTest, AsyncHandoffStampsQueueWait) {
   Event<void(int64_t)> event("Phase.Async", nullptr, nullptr, &dispatcher);
   dispatcher.InstallHandler(event, &AsyncHandler, &ctx, {.async = true});
 
-  dispatcher.EnableTracing(true);
+  dispatcher.SetTracing({obs::TraceMode::kFull});
   event.Raise(7);
   dispatcher.pool().Drain();
-  dispatcher.EnableTracing(false);
+  dispatcher.SetTracing({obs::TraceMode::kOff});
   EXPECT_EQ(ctx.calls, 1);
 
   bool queue_wait = false;

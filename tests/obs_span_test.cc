@@ -116,9 +116,9 @@ TEST(SpanTest, NestedRaiseOpensChildSpan) {
   dispatcher.InstallHandler(outer, &OuterHandler, &ctx, {.module = &module});
   dispatcher.InstallHandler(inner, &InnerHandler, &ctx, {.module = &module});
 
-  dispatcher.EnableTracing(true);
+  dispatcher.SetTracing({obs::TraceMode::kFull});
   outer.Raise(1);
-  dispatcher.EnableTracing(false);
+  dispatcher.SetTracing({obs::TraceMode::kOff});
 
   auto records = obs::FlightRecorder::Global().Snapshot();
   const obs::MergedRecord* ob = FindRaiseBegin(records, "Span.Outer");
@@ -158,10 +158,10 @@ TEST(SpanTest, AsyncHandoffCarriesSpanAcrossThreads) {
   dispatcher.InstallHandler(event, &AsyncHandler, &ctx,
                             {.async = true, .module = &module});
 
-  dispatcher.EnableTracing(true);
+  dispatcher.SetTracing({obs::TraceMode::kFull});
   event.Raise(1);
   dispatcher.pool().Drain();
-  dispatcher.EnableTracing(false);
+  dispatcher.SetTracing({obs::TraceMode::kOff});
 
   auto records = obs::FlightRecorder::Global().Snapshot();
   const obs::MergedRecord* begin = FindRaiseBegin(records, "Span.Async");
@@ -196,11 +196,11 @@ TEST(SpanTest, SpanStatsAccumulateAndExport) {
   NestCtx ctx;
   dispatcher.InstallHandler(event, &InnerHandler, &ctx, {.module = &module});
 
-  dispatcher.EnableTracing(true);
+  dispatcher.SetTracing({obs::TraceMode::kFull});
   for (int i = 0; i < 5; ++i) {
     event.Raise(i);
   }
-  dispatcher.EnableTracing(false);
+  dispatcher.SetTracing({obs::TraceMode::kOff});
 
   obs::SpanStats stats = obs::GetSpanStats();
   EXPECT_GE(stats.started, 5u);
@@ -227,7 +227,7 @@ TEST(SpanTest, SpanStatsAccumulateAndExport) {
 void ResetSampleCountdown() {
   obs::TraceConfig config{obs::TraceMode::kSampled, 1};
   obs::SetTraceConfig(config);
-  (void)obs::DecideTopLevel();
+  { const obs::RaisePlan top_level; }
   config.mode = obs::TraceMode::kOff;
   obs::SetTraceConfig(config);
 }
@@ -391,15 +391,21 @@ TEST(SampleTest, FullModeIgnoresSampleRate) {
   obs::FlightRecorder::Global().Reset();
 }
 
+void Ignore(int64_t) {}
+
 TEST(SampleTest, SampledModeKeepsProductionTables) {
   SampleFixture fx;
+  Event<void(int64_t)> direct("Sample.Direct", &fx.module, &Ignore,
+                              &fx.dispatcher);
   fx.dispatcher.SetTracing({obs::TraceMode::kSampled, 128});
-  EXPECT_FALSE(fx.dispatcher.tracing())
+  EXPECT_EQ(fx.dispatcher.trace_mode(), obs::TraceMode::kSampled);
+  EXPECT_NE(direct.direct_fn(), nullptr)
       << "sampled mode must not suppress stubs and the direct bypass";
   fx.dispatcher.SetTracing({obs::TraceMode::kFull, 128});
-  EXPECT_TRUE(fx.dispatcher.tracing());
+  EXPECT_EQ(direct.direct_fn(), nullptr);
   fx.dispatcher.SetTracing({obs::TraceMode::kOff});
-  EXPECT_FALSE(fx.dispatcher.tracing());
+  EXPECT_EQ(fx.dispatcher.trace_mode(), obs::TraceMode::kOff);
+  EXPECT_NE(direct.direct_fn(), nullptr);
 }
 
 TEST(SampleTest, PerRingEmitAndOverwriteExport) {

@@ -34,11 +34,12 @@ TEST(StatsTest, CaptureCoversEventsAndSeries) {
   StatsCtx ctx;
   dispatcher.InstallHandler(event, &Handler, &ctx, {.module = &module});
 
-  dispatcher.EnableTracing(true);  // timed raises feed the histograms
+  // Timed raises feed the histograms.
+  dispatcher.SetTracing({obs::TraceMode::kFull});
   for (int i = 0; i < 10; ++i) {
     event.Raise(i);
   }
-  dispatcher.EnableTracing(false);
+  dispatcher.SetTracing({obs::TraceMode::kOff});
 
   obs::StatsSnapshot snap = obs::CaptureStats();
   EXPECT_NE(snap.ts_ns, 0u);

@@ -233,8 +233,10 @@ TEST(EventMetricsTest, PerKindAndMerged) {
   obs::EventMetrics metrics("Test.Event");
   metrics.Record(obs::DispatchKind::kDirect, 4);
   metrics.Record(obs::DispatchKind::kInterp, 1000);
+  metrics.Record(obs::DispatchKind::kAsync, 5000);  // a body, not a raise
   EXPECT_EQ(metrics.hist(obs::DispatchKind::kDirect).Count(), 1u);
   EXPECT_EQ(metrics.hist(obs::DispatchKind::kStub).Count(), 0u);
+  EXPECT_EQ(metrics.hist(obs::DispatchKind::kAsync).Count(), 1u);
   EXPECT_EQ(metrics.TotalCount(), 2u);
   EXPECT_EQ(metrics.TotalSumNs(), 1004u);
   EXPECT_EQ(metrics.Merged().max, 1000u);
@@ -338,10 +340,10 @@ TEST(TracingTest, CaptureContainsDispatchRecords) {
                                             {.module = &module});
   (void)rejected;
 
-  dispatcher.EnableTracing(true);
-  EXPECT_TRUE(dispatcher.tracing());
+  dispatcher.SetTracing({obs::TraceMode::kFull});
+  EXPECT_EQ(dispatcher.trace_mode(), obs::TraceMode::kFull);
   EXPECT_EQ(event.Raise(1), 7);
-  dispatcher.EnableTracing(false);
+  dispatcher.SetTracing({obs::TraceMode::kOff});
 
   std::set<obs::TraceKind> kinds;
   for (const auto& m : obs::FlightRecorder::Global().Snapshot()) {
@@ -360,10 +362,10 @@ TEST(TracingTest, DirectBypassSuppressedAndRestored) {
   Event<int64_t(int64_t)> event("Tracing.Direct", &module, &Return7,
                                 &dispatcher);
   ASSERT_NE(event.direct_fn(), nullptr);
-  dispatcher.EnableTracing(true);
+  dispatcher.SetTracing({obs::TraceMode::kFull});
   EXPECT_EQ(event.direct_fn(), nullptr);
   EXPECT_EQ(event.Raise(1), 7);
-  dispatcher.EnableTracing(false);
+  dispatcher.SetTracing({obs::TraceMode::kOff});
   EXPECT_NE(event.direct_fn(), nullptr);
   // The suppressed raise was still accounted under the production kind.
   EXPECT_GE(event.metrics().hist(obs::DispatchKind::kDirect).Count(), 1u);
@@ -376,11 +378,11 @@ TEST(ExportTest, WellFormedExposition) {
   Module module("ExportTest");
   Event<int64_t(int64_t)> event("Export.Event", &module, &Return7,
                                 &dispatcher);
-  dispatcher.EnableProfiling(true);
+  dispatcher.SetTracing({obs::TraceMode::kTimed});
   for (int i = 0; i < 10; ++i) {
     event.Raise(i);
   }
-  dispatcher.EnableProfiling(false);
+  dispatcher.SetTracing({obs::TraceMode::kOff});
 
   std::ostringstream out;
   obs::ExportMetrics(out);
@@ -430,11 +432,11 @@ TEST(DescribeTest, IncludesLatencySummary) {
   Module module("DescribeTest");
   Event<int64_t(int64_t)> event("Describe.Event", &module, &Return7,
                                 &dispatcher);
-  dispatcher.EnableProfiling(true);
+  dispatcher.SetTracing({obs::TraceMode::kTimed});
   for (int i = 0; i < 5; ++i) {
     event.Raise(i);
   }
-  dispatcher.EnableProfiling(false);
+  dispatcher.SetTracing({obs::TraceMode::kOff});
 
   std::string description = dispatcher.Describe(event);
   EXPECT_NE(description.find("latency[direct]: n=5"), std::string::npos)

@@ -33,7 +33,7 @@ namespace {
 void ResetSampleCountdown() {
   obs::TraceConfig config{obs::TraceMode::kSampled, 1};
   obs::SetTraceConfig(config);
-  (void)obs::DecideTopLevel();
+  { const obs::RaisePlan top_level; }
   config.mode = obs::TraceMode::kOff;
   obs::SetTraceConfig(config);
 }

@@ -67,13 +67,13 @@ TEST(RemoteTraceTest, OneRaiseYieldsOneSpanTreeAcrossHostsAndThreads) {
   EventProxy proxy(client_host, &sim, client_ev, opts);
 
   obs::FlightRecorder::Global().Reset();  // drop the handshake records
-  dispatcher.EnableTracing(true);
+  dispatcher.SetTracing({obs::TraceMode::kFull});
   {
     obs::HostScope on_client(client_host.trace_host_id());
     client_ev.Raise(7);
   }
   dispatcher.pool().Drain();
-  dispatcher.EnableTracing(false);
+  dispatcher.SetTracing({obs::TraceMode::kOff});
 
   EXPECT_EQ(ctx.local_sync.load(), 1);
   EXPECT_EQ(ctx.local_async.load(), 1);
@@ -196,7 +196,7 @@ TEST(RemoteTraceTest, SampledTreesCrossTheWireWholeOrNotAtAll) {
   // below is independent of earlier tests: at rate 1 the next decision
   // fires and zeroes it.
   obs::SetTraceConfig({obs::TraceMode::kSampled, 1});
-  (void)obs::DecideTopLevel();
+  { const obs::RaisePlan top_level; }
 
   obs::FlightRecorder::Global().Reset();  // drop the handshake records
   dispatcher.SetTracing({obs::TraceMode::kSampled, 3});

@@ -3,8 +3,6 @@
 #include "src/rt/epoch.h"
 
 #include <atomic>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -24,7 +22,7 @@ struct Tracked {
 void DeleteTracked(void* p) { delete static_cast<Tracked*>(p); }
 
 TEST(EpochTest, RetireEventuallyFrees) {
-  EpochDomain domain;
+  EpochDomain& domain = EpochDomain::Global();
   std::atomic<int> live{0};
   domain.Retire(new Tracked(live), DeleteTracked);
   EXPECT_EQ(live.load(), 1);
@@ -33,7 +31,7 @@ TEST(EpochTest, RetireEventuallyFrees) {
 }
 
 TEST(EpochTest, GuardBlocksReclamation) {
-  EpochDomain domain;
+  EpochDomain& domain = EpochDomain::Global();
   std::atomic<int> live{0};
   std::atomic<bool> entered{false};
   std::atomic<bool> release{false};
@@ -63,7 +61,7 @@ TEST(EpochTest, GuardBlocksReclamation) {
 }
 
 TEST(EpochTest, NestedGuards) {
-  EpochDomain domain;
+  EpochDomain& domain = EpochDomain::Global();
   std::atomic<int> live{0};
   {
     EpochDomain::Guard outer(domain);
@@ -88,7 +86,7 @@ TEST(EpochTest, NestedGuards) {
 }
 
 TEST(EpochTest, ManyRetiresTriggerAutomaticFlush) {
-  EpochDomain domain;
+  EpochDomain& domain = EpochDomain::Global();
   std::atomic<int> live{0};
   for (int i = 0; i < 1000; ++i) {
     domain.Retire(new Tracked(live), DeleteTracked);
@@ -104,7 +102,7 @@ TEST(EpochTest, ManyRetiresTriggerAutomaticFlush) {
 // continuously replace and retire. Any use-after-free crashes or corrupts
 // the sentinel.
 TEST(EpochTest, ConcurrentReadersAndWriters) {
-  EpochDomain domain;
+  EpochDomain& domain = EpochDomain::Global();
   struct Node {
     uint64_t sentinel;
   };
@@ -146,95 +144,41 @@ TEST(EpochTest, ConcurrentReadersAndWriters) {
   delete current.load();
 }
 
-TEST(EpochTest, GuardsNestAcrossDistinctDomains) {
-  // Guards of *different* domains may nest on one thread (code holding one
-  // domain's guard enters another's). The outer domain must stay pinned
-  // while inner guards on other domains come and go.
-  EpochDomain outer_domain;
-  EpochDomain inner_domain;
-  std::atomic<bool> freed{false};
-  {
-    EpochDomain::Guard outer(outer_domain);
-    // Churn the inner domain: enter/exit and advance its epoch repeatedly.
-    for (int i = 0; i < 100; ++i) {
-      EpochDomain::Guard inner(inner_domain);
-    }
-    inner_domain.Synchronize();
-    // Retire into the outer domain while we still hold its guard: the
-    // object must NOT be freed, however much the inner domain churned.
-    outer_domain.Retire(&freed, +[](void* p) {
-      static_cast<std::atomic<bool>*>(p)->store(true);
-    });
-    outer_domain.Flush();
-    EXPECT_FALSE(freed.load());
-  }
-  outer_domain.Synchronize();
-  EXPECT_TRUE(freed.load());
-}
-
-TEST(EpochTest, ManyDomainsPerThreadSurviveCacheEviction) {
-  // More simultaneous domains than the thread-local cache holds: records
-  // get evicted and re-acquired, and guard exits must still balance (a
-  // stuck record would make Synchronize spin forever).
-  constexpr int kDomains = 24;
-  std::vector<std::unique_ptr<EpochDomain>> domains;
-  for (int i = 0; i < kDomains; ++i) {
-    domains.push_back(std::make_unique<EpochDomain>());
-  }
-  for (int round = 0; round < 3; ++round) {
-    for (auto& d : domains) {
-      EpochDomain::Guard guard(*d);
-    }
-  }
-  // Deep cross-domain nesting, deeper than the cache.
-  {
-    std::vector<std::unique_ptr<EpochDomain::Guard>> guards;
-    for (auto& d : domains) {
-      guards.push_back(std::make_unique<EpochDomain::Guard>(*d));
-    }
-  }
-  for (auto& d : domains) {
-    d->Synchronize();  // all records idle again: must not spin
-  }
-}
-
-TEST(EpochTest, DomainChurnWithThreadsDoesNotCrossContaminate) {
-  // Domains are created and destroyed while a long-lived thread keeps
-  // entering guards on fresh ones. Destroyed domains' records must never
-  // produce a false cache hit for a new domain. The
-  // mutex sequences the reader's guard against domain destruction; what is
-  // under test is the reader's thread-local record cache surviving 200
-  // generations of dead domains.
-  std::atomic<bool> stop{false};
-  std::mutex mu;
-  EpochDomain* shared = nullptr;  // guarded by mu
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (shared != nullptr) {
-        EpochDomain::Guard guard(*shared);
+TEST(EpochTest, ExitedThreadsRecordsAreReused) {
+  // A thread's record is freed at its exit and taken by the next thread
+  // that enters a guard, so the list a writer walks to advance the epoch
+  // holds as many records as there were threads alive at once, not one per
+  // thread ever started (AsyncMode::kSpawn starts one per async raise).
+  EpochDomain& domain = EpochDomain::Global();
+  constexpr int kConcurrent = 4;
+  std::atomic<int> inside{0};
+  std::vector<std::thread> together;
+  for (int i = 0; i < kConcurrent; ++i) {
+    together.emplace_back([&] {
+      EpochDomain::Guard guard(domain);
+      inside.fetch_add(1);
+      while (inside.load() < kConcurrent) {
+        std::this_thread::yield();
       }
-    }
-  });
-  for (int i = 0; i < 200; ++i) {
-    auto domain = std::make_unique<EpochDomain>();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      shared = domain.get();
-    }
-    {
-      EpochDomain::Guard guard(*domain);
-    }
-    domain->Synchronize();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      shared = nullptr;
-    }
-    // Destroyed here: its records go to the recycle pool while the
-    // reader's cache still holds entries keyed by the dead domain's id.
+    });
   }
-  stop.store(true, std::memory_order_release);
-  reader.join();
+  for (std::thread& t : together) {
+    t.join();
+  }
+  // Threads alive at once hold distinct records.
+  const size_t peak = domain.record_count();
+  EXPECT_GE(peak, static_cast<size_t>(kConcurrent));
+
+  for (int i = 0; i < 500; ++i) {
+    std::thread([&] { EpochDomain::Guard guard(domain); }).join();
+  }
+  EXPECT_EQ(domain.record_count(), peak);
+
+  // The reused records are idle: reclamation is not held up.
+  std::atomic<int> live{0};
+  domain.Retire(new Tracked(live), DeleteTracked);
+  domain.Synchronize();
+  EXPECT_EQ(live.load(), 0);
 }
 
 }  // namespace
