@@ -19,6 +19,13 @@
 // number in a smoke row derives from the simulator clock and a seeded
 // loss stream, so tools/bench_diff.py can hold them to a near-exact
 // threshold against bench/BENCH_fleet_smoke.json on any machine.
+//
+// Full-grid rows also carry host_ns_per_frame: steady_clock time spent in
+// Fleet::Run (the simulated second, not set-up or teardown) divided by
+// the frames the wires carried. It is host-clock, so smoke rows never
+// carry it.
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -45,8 +52,19 @@ std::string RunCell(const std::string& stack, double loss, bool smoke,
   options.trace_sample_rate = trace_sample_rate;
 
   spin::fleet::Fleet fleet(&dispatcher, options);
+  auto start = std::chrono::steady_clock::now();
   spin::fleet::FleetReport report = fleet.Run();
-  return spin::fleet::ReportJson(options, report);
+  std::chrono::duration<double, std::nano> host =
+      std::chrono::steady_clock::now() - start;
+  std::string row = spin::fleet::ReportJson(options, report);
+  if (!smoke && report.frames_offered != 0) {
+    row.pop_back();  // the closing brace
+    row += ", \"host_ns_per_frame\": " +
+           std::to_string(std::llround(
+               host.count() / static_cast<double>(report.frames_offered))) +
+           "}";
+  }
+  return row;
 }
 
 }  // namespace

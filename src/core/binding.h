@@ -48,6 +48,22 @@ struct Order {
   BindingHandle ref;  // referent for kBefore / kAfter
 };
 
+// The ordering constraint a binding keeps. It names its referent weakly:
+// bindings ordered against each other would otherwise own each other and
+// never be freed.
+struct HeldOrder {
+  OrderKind kind = OrderKind::kUnordered;
+  std::weak_ptr<Binding> ref;
+
+  HeldOrder& operator=(const Order& order) {
+    kind = order.kind;
+    ref = order.ref;
+    return *this;
+  }
+  // The constraint, with a null referent once that binding is freed.
+  Order Get() const { return Order{kind, ref.lock()}; }
+};
+
 struct GuardClause {
   void* fn = nullptr;
   void* closure = nullptr;
@@ -93,7 +109,7 @@ class Binding {
   bool intrinsic = false;  // the event's same-named procedure
   bool erased = false;     // fn is an opaque context, not a procedure: the
                            // binding is never a direct-call or stub target
-  Order order;
+  HeldOrder order;
 
   // Keeps closure state (e.g. a boxed lambda) alive as long as the binding.
   std::shared_ptr<void> keep_alive;

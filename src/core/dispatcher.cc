@@ -181,7 +181,7 @@ void AuthRequest::ImposeGuard(GuardClause guard) {
 void AuthRequest::SetOrder(Order order) {
   SPIN_ASSERT_MSG(op == AuthOp::kInstall && binding != nullptr,
                   "SetOrder is only valid while authorizing an install");
-  binding->order = std::move(order);
+  binding->order = order;
 }
 
 // --- EventBase lifecycle -----------------------------------------------------
@@ -352,7 +352,7 @@ BindingHandle Dispatcher::Install(EventBase& event,
   if (!quota_.Charge(binding->owner, bytes)) {
     throw InstallError(InstallStatus::kQuotaExceeded, event.name());
   }
-  PlaceLocked(event, binding, binding->order);
+  PlaceLocked(event, binding, binding->order.Get());
   if (binding->intrinsic) {
     event.intrinsic_binding = binding;
   }
@@ -678,7 +678,7 @@ void Dispatcher::SetOrder(const BindingHandle& binding, Order order) {
 
 Order Dispatcher::GetOrder(const BindingHandle& binding) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return binding->order;
+  return binding->order.Get();
 }
 
 void Dispatcher::SetResultPolicy(EventBase& event, ResultPolicy policy,

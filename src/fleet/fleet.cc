@@ -4,49 +4,13 @@
 #include <ostream>
 #include <sstream>
 
+#include "src/fleet/pattern.h"
 #include "src/obs/export.h"
 #include "src/obs/trace.h"
 #include "src/rt/panic.h"
 
 namespace spin {
 namespace fleet {
-namespace {
-
-// Position-derived stream patterns: byte i of every request stream and
-// every response stream is a pure function of i, so a receiver can verify
-// in O(chunk) that the delivered stream has neither holes nor reordering.
-inline char RequestByte(uint64_t offset) {
-  return static_cast<char>('A' + offset % 23);
-}
-inline char ResponseByte(uint64_t offset) {
-  return static_cast<char>('a' + offset % 29);
-}
-
-std::string PatternChunk(uint64_t offset, size_t n, char (*fn)(uint64_t)) {
-  std::string chunk(n, '\0');
-  for (size_t i = 0; i < n; ++i) {
-    chunk[i] = fn(offset + i);
-  }
-  return chunk;
-}
-
-bool VerifyChunk(uint64_t offset, const std::string& chunk,
-                 char (*fn)(uint64_t)) {
-  for (size_t i = 0; i < chunk.size(); ++i) {
-    if (chunk[i] != fn(offset + i)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string PatternChunk(uint64_t offset, size_t n,
-                         bool response) {
-  return PatternChunk(offset, n, response ? &ResponseByte : &RequestByte);
-}
-
-}  // namespace
-
 Fleet::Fleet(Dispatcher* dispatcher, const FleetOptions& options)
     : dispatcher_(dispatcher), options_(options) {
   net::RegisterBuiltinTcpStacks();
@@ -151,7 +115,7 @@ void Fleet::Tick(Conn* conn) {
     ++conn->requests;
     ++requests_sent_;
     conn->client->Send(
-        PatternChunk(offset, options_.request_bytes, /*response=*/false));
+        PatternChunk(Stream::kRequest, offset, options_.request_bytes));
   }
   uint64_t next = sim_.now_ns() + options_.request_interval_ns;
   if (next <= options_.duration_ns) {
@@ -160,7 +124,7 @@ void Fleet::Tick(Conn* conn) {
 }
 
 void Fleet::OnServerData(Conn* conn, const std::string& chunk) {
-  if (!VerifyChunk(conn->server_rx, chunk, &RequestByte)) {
+  if (!VerifyChunk(Stream::kRequest, conn->server_rx, chunk)) {
     conn->intact = false;
   }
   conn->server_rx += chunk.size();
@@ -168,14 +132,14 @@ void Fleet::OnServerData(Conn* conn, const std::string& chunk) {
   while (conn->request_backlog >= options_.request_bytes &&
          conn->server->established()) {
     conn->request_backlog -= options_.request_bytes;
-    conn->server->Send(PatternChunk(conn->server_tx, options_.response_bytes,
-                                    /*response=*/true));
+    conn->server->Send(PatternChunk(Stream::kResponse, conn->server_tx,
+                                    options_.response_bytes));
     conn->server_tx += options_.response_bytes;
   }
 }
 
 void Fleet::OnClientData(Conn* conn, const std::string& chunk) {
-  if (!VerifyChunk(conn->client_rx, chunk, &ResponseByte)) {
+  if (!VerifyChunk(Stream::kResponse, conn->client_rx, chunk)) {
     conn->intact = false;
   }
   conn->client_rx += chunk.size();

@@ -123,7 +123,7 @@ FlightRecorder::Ring* FlightRecorder::ThreadRing() {
   auto* ring = new Ring();
   ring->tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
   size_t cap = capacity_.load(std::memory_order_relaxed);
-  ring->slots.resize(cap);
+  ring->slots = std::make_unique<Slot[]>(cap);
   ring->mask = cap - 1;
   Ring* head = rings_.load(std::memory_order_relaxed);
   do {
@@ -164,24 +164,15 @@ void FlightRecorder::EmitWith(TraceKind kind, const char* name,
   if (span == 0) {
     internal::CountOrphanRecord();
   }
-  Ring* ring = ThreadRing();
-  uint64_t h = ring->head.load(std::memory_order_relaxed);
-  if (h >= ring->slots.size()) {
-    // Single writer: a plain load/store pair beats a locked add.
-    ring->overwrites.store(
-        ring->overwrites.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
-  }
-  TraceRecord& slot = ring->slots[h & ring->mask];
-  slot.ts_ns = ts_ns;
-  slot.name = name;
-  slot.arg = arg;
-  slot.span = span;
-  slot.parent = parent;
-  slot.end_ns = 0;  // slots are reused; only kPhase (EmitPhase) sets this
-  slot.host = CurrentContext().host;
-  slot.kind = kind;
-  ring->head.store(h + 1, std::memory_order_release);
+  TraceRecord rec;
+  rec.ts_ns = ts_ns;
+  rec.name = name;
+  rec.arg = arg;
+  rec.span = span;
+  rec.parent = parent;
+  rec.host = CurrentContext().host;
+  rec.kind = kind;
+  Append(rec);
 }
 
 void FlightRecorder::EmitPhase(const char* name, Phase phase, uint64_t t_start,
@@ -196,24 +187,43 @@ void FlightRecorder::EmitPhase(const char* name, Phase phase, uint64_t t_start,
   if (ctx.span == 0) {
     internal::CountOrphanRecord();
   }
+  TraceRecord rec;
+  rec.ts_ns = t_start;
+  rec.name = name;
+  rec.arg = PackPhaseArg(phase, self_ns);
+  rec.span = ctx.span;
+  rec.parent = ctx.parent;
+  rec.end_ns = t_end;
+  rec.host = ctx.host;
+  rec.kind = TraceKind::kPhase;
+  Append(rec);
+  RecordPhase(name, phase, self_ns);
+}
+
+void FlightRecorder::Append(const TraceRecord& rec) {
   Ring* ring = ThreadRing();
   uint64_t h = ring->head.load(std::memory_order_relaxed);
-  if (h >= ring->slots.size()) {
+  if (h > ring->mask) {
+    // Single writer: a plain load/store pair beats a locked add.
     ring->overwrites.store(
         ring->overwrites.load(std::memory_order_relaxed) + 1,
         std::memory_order_relaxed);
   }
-  TraceRecord& slot = ring->slots[h & ring->mask];
-  slot.ts_ns = t_start;
-  slot.name = name;
-  slot.arg = PackPhaseArg(phase, self_ns);
-  slot.span = ctx.span;
-  slot.parent = ctx.parent;
-  slot.end_ns = t_end;
-  slot.host = ctx.host;
-  slot.kind = TraceKind::kPhase;
-  ring->head.store(h + 1, std::memory_order_release);
-  RecordPhase(name, phase, self_ns);
+  // Each release store orders the odd stamp before it, so a reader that
+  // loads any word of this record also sees the slot as being rewritten.
+  constexpr auto kRelease = std::memory_order_release;
+  Slot& slot = ring->slots[h & ring->mask];
+  slot.seq.store(2 * h + 1, std::memory_order_relaxed);
+  slot.ts_ns.store(rec.ts_ns, kRelease);
+  slot.name.store(rec.name, kRelease);
+  slot.arg.store(rec.arg, kRelease);
+  slot.span.store(rec.span, kRelease);
+  slot.parent.store(rec.parent, kRelease);
+  slot.end_ns.store(rec.end_ns, kRelease);
+  slot.host_kind.store(
+      uint64_t{rec.host} << 8 | static_cast<uint8_t>(rec.kind), kRelease);
+  slot.seq.store(2 * h + 2, kRelease);
+  ring->head.store(h + 1, kRelease);
 }
 
 std::vector<MergedRecord> FlightRecorder::Snapshot() const {
@@ -223,8 +233,27 @@ std::vector<MergedRecord> FlightRecorder::Snapshot() const {
     uint64_t head = ring->head.load(std::memory_order_acquire);
     uint64_t cap = ring->mask + 1;
     uint64_t n = head < cap ? head : cap;
+    constexpr auto kAcquire = std::memory_order_acquire;
     for (uint64_t i = head - n; i < head; ++i) {
-      merged.push_back(MergedRecord{ring->slots[i & ring->mask], ring->tid});
+      const Slot& slot = ring->slots[i & ring->mask];
+      const uint64_t whole = 2 * i + 2;
+      if (slot.seq.load(kAcquire) != whole) {
+        continue;  // already reused for a newer record
+      }
+      TraceRecord rec;
+      rec.ts_ns = slot.ts_ns.load(kAcquire);
+      rec.name = slot.name.load(kAcquire);
+      rec.arg = slot.arg.load(kAcquire);
+      rec.span = slot.span.load(kAcquire);
+      rec.parent = slot.parent.load(kAcquire);
+      rec.end_ns = slot.end_ns.load(kAcquire);
+      uint64_t host_kind = slot.host_kind.load(kAcquire);
+      rec.host = static_cast<uint32_t>(host_kind >> 8);
+      rec.kind = static_cast<TraceKind>(host_kind & 0xff);
+      if (slot.seq.load(std::memory_order_relaxed) != whole) {
+        continue;  // reused while being copied: some words may be newer
+      }
+      merged.push_back(MergedRecord{rec, ring->tid});
     }
   }
   std::stable_sort(merged.begin(), merged.end(),
@@ -246,8 +275,8 @@ void FlightRecorder::Reset(size_t capacity) {
        ring = ring->next) {
     ring->head.store(0, std::memory_order_relaxed);
     ring->overwrites.store(0, std::memory_order_relaxed);
-    if (ring->slots.size() != cap) {
-      ring->slots.assign(cap, TraceRecord{});
+    if (ring->mask + 1 != cap) {
+      ring->slots = std::make_unique<Slot[]>(cap);
       ring->mask = cap - 1;
     }
   }

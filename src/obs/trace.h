@@ -1,13 +1,13 @@
 // The dispatcher flight recorder.
 //
 // A per-thread, lock-free ring buffer of fixed-size typed records. Each
-// thread writes only its own ring (one relaxed index bump plus a few plain
-// stores per record); when the ring wraps, the oldest records are
-// overwritten, so the recorder always holds the newest window — the
-// black-box-recorder discipline. Snapshot() merges all rings into a single
-// monotonic-clock-ordered timeline, and WriteChromeTrace() serializes that
-// timeline as Chrome trace-event JSON, loadable in Perfetto (ui.perfetto.dev)
-// or chrome://tracing.
+// thread writes only its own ring (an index bump and a few atomic stores
+// per record, no lock and no read-modify-write); when the ring wraps, the
+// oldest records are overwritten, so the recorder always holds the newest
+// window — the black-box-recorder discipline. Snapshot() merges all rings
+// into a single monotonic-clock-ordered timeline, and WriteChromeTrace()
+// serializes that timeline as Chrome trace-event JSON, loadable in Perfetto
+// (ui.perfetto.dev) or chrome://tracing.
 //
 // Record names are interned C-strings (obs::Intern), so emission never
 // allocates and records remain printable after the emitting event dies.
@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <ostream>
 #include <vector>
 
@@ -136,8 +137,9 @@ class FlightRecorder {
                  uint64_t t_end, uint64_t self_ns);
 
   // Merges every thread's ring into one timeline ordered by timestamp
-  // (ties broken by thread id). Callers should quiesce emitters first for
-  // an exact snapshot; concurrent emission can smear the newest records.
+  // (ties broken by thread id). Safe against concurrent emission: a record
+  // whose slot its writer reuses while the snapshot copies it is left out,
+  // never returned torn. Quiesce emitters first for an exact snapshot.
   std::vector<MergedRecord> Snapshot() const;
 
   // Drops all records; a nonzero capacity also resizes every ring (rounded
@@ -168,6 +170,22 @@ class FlightRecorder {
   std::vector<RingStats> PerRingStats() const;
 
  private:
+  // One ring slot. The owning thread writes every word with a release
+  // store and Snapshot reads it with an acquire load (plain moves on
+  // x86-64). `seq` brackets the write: 2i+1 while record i is being
+  // written, 2i+2 once it is whole. A reader that sees 2i+2 both before
+  // and after copying the words copied record i untorn.
+  struct Slot {
+    std::atomic<uint64_t> seq{0};
+    std::atomic<uint64_t> ts_ns{0};
+    std::atomic<const char*> name{nullptr};
+    std::atomic<uint64_t> arg{0};
+    std::atomic<uint64_t> span{0};
+    std::atomic<uint64_t> parent{0};
+    std::atomic<uint64_t> end_ns{0};
+    std::atomic<uint64_t> host_kind{0};  // host << 8 | kind
+  };
+
   struct Ring {
     uint32_t tid = 0;
     size_t mask = 0;
@@ -175,13 +193,16 @@ class FlightRecorder {
     // Single-writer count of slots overwritten before ever being
     // snapshotted (every emit past the first `capacity` ones).
     std::atomic<uint64_t> overwrites{0};
-    std::vector<TraceRecord> slots;
+    std::unique_ptr<Slot[]> slots;
     Ring* next = nullptr;
   };
 
   FlightRecorder() = default;
 
   Ring* ThreadRing();
+
+  // Writes `rec` into the calling thread's ring.
+  void Append(const TraceRecord& rec);
 
   std::atomic<Ring*> rings_{nullptr};
   std::atomic<uint32_t> next_tid_{1};

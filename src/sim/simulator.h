@@ -9,9 +9,10 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <utility>
 #include <vector>
 
 namespace spin {
@@ -23,8 +24,9 @@ class Simulator {
 
   // Schedules `fn` at absolute virtual time `at_ns` (clamped to now).
   void At(uint64_t at_ns, std::function<void()> fn) {
-    queue_.push(Entry{at_ns < now_ns_ ? now_ns_ : at_ns, next_seq_++,
-                      std::move(fn)});
+    queue_.push_back(Entry{at_ns < now_ns_ ? now_ns_ : at_ns, next_seq_++,
+                           std::move(fn)});
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
   }
 
   void After(uint64_t delay_ns, std::function<void()> fn) {
@@ -35,11 +37,8 @@ class Simulator {
   // Returns the number of events executed.
   size_t Run(uint64_t until_ns = ~0ull) {
     size_t executed = 0;
-    while (!queue_.empty() && queue_.top().at_ns <= until_ns) {
-      Entry entry = queue_.top();
-      queue_.pop();
-      now_ns_ = entry.at_ns;
-      entry.fn();
+    while (!queue_.empty() && queue_.front().at_ns <= until_ns) {
+      RunNext();
       ++executed;
     }
     return executed;
@@ -49,10 +48,7 @@ class Simulator {
     if (queue_.empty()) {
       return false;
     }
-    Entry entry = queue_.top();
-    queue_.pop();
-    now_ns_ = entry.at_ns;
-    entry.fn();
+    RunNext();
     return true;
   }
 
@@ -63,13 +59,26 @@ class Simulator {
     uint64_t at_ns;
     uint64_t seq;  // FIFO among simultaneous events
     std::function<void()> fn;
+  };
 
-    bool operator>(const Entry& other) const {
-      return at_ns != other.at_ns ? at_ns > other.at_ns : seq > other.seq;
+  // Heap order: the entry that runs first sits at the front.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.at_ns != b.at_ns ? a.at_ns > b.at_ns : a.seq > b.seq;
     }
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+  // Moves the earliest entry out of the heap, then runs it: the callable
+  // (for a wire delivery, a closure holding a whole frame) is never copied.
+  void RunNext() {
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    Entry entry = std::move(queue_.back());
+    queue_.pop_back();
+    now_ns_ = entry.at_ns;
+    entry.fn();
+  }
+
+  std::vector<Entry> queue_;  // min-heap on (at_ns, seq)
   uint64_t now_ns_ = 0;
   uint64_t next_seq_ = 0;
 };

@@ -330,12 +330,36 @@ TEST_P(DispatchTest, OrderingConstraintsAreQueryableAndChangeable) {
   Event<void(int64_t, int64_t)> event("Test.Order", &module_, nullptr,
                                       &dispatcher_);
   auto b1 = dispatcher_.InstallHandler(event, &H1, {.module = &module_});
-  dispatcher_.InstallHandler(event, &H2, {.module = &module_});
+  auto b2 = dispatcher_.InstallHandler(event, &H2, {.module = &module_});
   EXPECT_EQ(dispatcher_.GetOrder(b1).kind, OrderKind::kUnordered);
   dispatcher_.SetOrder(b1, {OrderKind::kLast});
   EXPECT_EQ(dispatcher_.GetOrder(b1).kind, OrderKind::kLast);
+  dispatcher_.SetOrder(b1, {OrderKind::kAfter, b2});
+  Order order = dispatcher_.GetOrder(b1);
+  EXPECT_EQ(order.kind, OrderKind::kAfter);
+  EXPECT_EQ(order.ref, b2);
   event.Raise(0, 0);
   EXPECT_EQ(g_log.order, (std::vector<int>{2, 1}));
+}
+
+// Two bindings ordered against each other must not keep each other alive
+// once their event and every table that listed them are gone.
+TEST_P(DispatchTest, BindingsOrderedAgainstEachOtherAreFreed) {
+  std::weak_ptr<Binding> w1;
+  std::weak_ptr<Binding> w2;
+  {
+    Event<void(int64_t, int64_t)> event("Test.Order", &module_, nullptr,
+                                        &dispatcher_);
+    auto b1 = dispatcher_.InstallHandler(event, &H1, {.module = &module_});
+    auto b2 = dispatcher_.InstallHandler(
+        event, &H2, {.order = {OrderKind::kAfter, b1}, .module = &module_});
+    dispatcher_.SetOrder(b1, {OrderKind::kBefore, b2});
+    w1 = b1;
+    w2 = b2;
+  }
+  dispatcher_.epoch().Synchronize();
+  EXPECT_TRUE(w1.expired());
+  EXPECT_TRUE(w2.expired());
 }
 
 TEST_P(DispatchTest, BadOrderingReferenceRejected) {

@@ -67,6 +67,36 @@ TEST(SimulatorTest, PastSchedulesClampToNow) {
   EXPECT_EQ(sim.now_ns(), 100u);
 }
 
+// A callable that counts how often it is copied. Moves are free.
+struct CopyCounter {
+  int* copies;
+  int* runs;
+
+  CopyCounter(int* copies_in, int* runs_in)
+      : copies(copies_in), runs(runs_in) {}
+  CopyCounter(const CopyCounter& other)
+      : copies(other.copies), runs(other.runs) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  void operator()() const { ++*runs; }
+};
+
+TEST(SimulatorTest, RunningNeverCopiesAScheduledCallable) {
+  Simulator sim;
+  int copies = 0;
+  int runs = 0;
+  for (int i = 0; i < 100; ++i) {
+    sim.At(static_cast<uint64_t>(i % 10) * 100, CopyCounter(&copies, &runs));
+  }
+  ASSERT_EQ(copies, 0);
+  EXPECT_TRUE(sim.RunOne());
+  EXPECT_EQ(sim.Run(), 99u);
+  EXPECT_FALSE(sim.RunOne());
+  EXPECT_EQ(runs, 100);
+  EXPECT_EQ(copies, 0);
+}
+
 TEST(LinkModelTest, TenMegabitMath) {
   LinkModel model;  // defaults: 10 Mb/s, 25 us propagation
   EXPECT_EQ(model.SerializationNs(1), 800u);         // 8 bits at 10 Mb/s
