@@ -1,7 +1,8 @@
 // Quickstart: the event model in one file.
 //
 //   - declare a typed event with an intrinsic handler (a procedure call),
-//   - install extra handlers with guards, closures, and ordering,
+//   - install extra handlers with their guards (native, closure and
+//     micro-program), closures, and ordering,
 //   - fold results, fall back to a default handler,
 //   - uninstall and watch the system revert.
 //
@@ -37,6 +38,24 @@ struct Budget {
   int64_t remaining;
 };
 
+// Guards travel with the handler: a closure guard over the same state...
+bool WithinBudget(Budget* budget, const char* text, int64_t level) {
+  (void)text;
+  (void)level;
+  return budget->remaining > 0;
+}
+
+// ...and a micro-program guard the dispatch stub can inline: level >= min.
+spin::micro::Program LevelAtLeast(uint64_t min) {
+  return std::move(spin::micro::ProgramBuilder(/*num_args=*/2,
+                                               /*functional=*/true)
+                       .LoadArg(0, 1)
+                       .LoadImm(1, min)
+                       .CmpLeU(2, 1, 0)
+                       .Ret(2))
+      .Build();
+}
+
 int64_t Count(Budget* budget, const char* text, int64_t level) {
   (void)text;
   (void)level;
@@ -68,11 +87,16 @@ int main() {
   write_line.Raise("routine message", 1);   // guard filters syslog out
   write_line.Raise("disk on fire", 3);      // both handlers run
 
-  std::printf("3. closures carry per-installation state:\n");
+  std::printf("3. closures carry per-installation state; guards of every "
+              "form arrive in the same install:\n");
   Budget budget{5};
   auto counter = dispatcher.InstallHandler(
       write_line, &Count, &budget,
-      {.order = {spin::OrderKind::kFirst}, .module = &g_console_module});
+      {.order = {spin::OrderKind::kFirst},
+       .guards = {spin::MakeGuard(&WithinBudget, &budget),
+                  spin::MakeMicroGuard(LevelAtLeast(2))},
+       .module = &g_console_module});
+  write_line.Raise("uncounted message", 1);  // the micro guard declines
   write_line.Raise("counted message", 2);
 
   std::printf("4. results fold across handlers (sum policy):\n");

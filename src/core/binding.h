@@ -4,13 +4,15 @@
 // handler procedure, its optional closure, the guards that gate it
 // (installer-supplied and authority-imposed, §2.3/§2.5), its ordering
 // constraint, and its execution properties (asynchronous, EPHEMERAL,
-// filter). The handler body is immutable once the binding is active; the
-// guard list may change afterwards ("any number of guards can be imposed on
-// a handler, and they can be added and removed dynamically", §2.5). A guard
-// change never edits a list in place: it stores a new immutable list on the
-// binding and rebuilds the event's dispatch table, which carries the list
-// as of that rebuild, so raises read guards only through their table (§3's
-// single-store handler-list replacement).
+// filter). Its first guards, the installer's and the authority's, are on
+// it before it is charged and published. The handler body is immutable
+// once the binding is active; the guard list may change afterwards ("any
+// number of guards can be imposed on a handler, and they can be added and
+// removed dynamically", §2.5). A guard change never edits a list in place:
+// it stores a new immutable list on the binding and rebuilds the event's
+// dispatch table, which carries the list as of that rebuild, so raises
+// read guards only through their table (§3's single-store handler-list
+// replacement).
 #ifndef SRC_CORE_BINDING_H_
 #define SRC_CORE_BINDING_H_
 
@@ -64,14 +66,28 @@ struct HeldOrder {
   Order Get() const { return Order{kind, ref.lock()}; }
 };
 
+// How a micro-program guard clause executes on the raise path. kJit
+// compiles the program to a native procedure when it is admitted (falling
+// back to the interpreter when codegen is unavailable); kInterpret pins the
+// interpreted path — the nojit oracle and the ablation baseline.
+enum class GuardCompileMode : uint8_t { kJit, kInterpret };
+
 struct GuardClause {
   void* fn = nullptr;
   void* closure = nullptr;
   bool closure_form = false;
   bool imposed = false;  // imposed by the event's authority (§2.5)
+  GuardCompileMode mode = GuardCompileMode::kJit;  // micro guards
   GuardInvoker invoker = nullptr;            // native path
+  const ProcSig* sig = nullptr;              // native path: declared type
   std::optional<micro::Program> prog;        // inlinable path
   std::shared_ptr<codegen::CompiledMicro> compiled;  // out-of-line JIT body
+
+  // Bytes the guard charges against its binding owner's quota.
+  size_t MemoryBytes() const {
+    return sizeof(GuardClause) +
+           (prog ? prog->code().size() * sizeof(micro::Insn) : 0);
+  }
 };
 
 // One immutable guard list, shared by the binding and every table built
@@ -136,13 +152,14 @@ class Binding {
                                    std::move(guards));
   }
 
-  // Inserts one guard at the front (imposed guards) or the back.
-  void AddGuard(GuardClause guard, bool front) {
+  // Inserts one guard: imposed guards go to the front, so they evaluate
+  // before the installer's own.
+  void AddGuard(GuardClause guard) {
     std::vector<GuardClause> list;
     if (guards_ != nullptr) {
       list = *guards_;
     }
-    list.insert(front ? list.begin() : list.end(), std::move(guard));
+    list.insert(guard.imposed ? list.begin() : list.end(), std::move(guard));
     SetGuards(std::move(list));
   }
 
@@ -150,10 +167,7 @@ class Binding {
     size_t bytes = sizeof(Binding);
     if (guards_ != nullptr) {
       for (const GuardClause& g : *guards_) {
-        bytes += sizeof(GuardClause);
-        if (g.prog) {
-          bytes += g.prog->code().size() * sizeof(micro::Insn);
-        }
+        bytes += g.MemoryBytes();
       }
     }
     if (prog) {

@@ -419,7 +419,7 @@ void EventBase::RaiseErased(RaiseFrame& frame) {
     kind = table->obs_kind;
     if (table->lazy_pending) {
       promote = lazy_raises_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-                dispatcher.config().lazy_promote_raises;
+                Dispatcher::kLazyPromoteRaises;
     }
     ExecuteTable(*this, *table, frame, plan);
   }

@@ -111,6 +111,7 @@ struct AuthRequest {
   void* credentials = nullptr;    // opaque reference for richer protocols
 
   // Valid during kInstall: adds an imposed guard to the candidate binding.
+  // A guard that fails its admission check throws InstallError.
   void ImposeGuard(GuardClause guard);
 
   // Valid during kInstall: applies an execution property to the candidate —

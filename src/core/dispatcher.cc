@@ -14,13 +14,60 @@ namespace {
 
 void DeleteTable(void* p) { delete static_cast<DispatchTable*>(p); }
 
-// Bytes one guard charges against its binding owner's quota.
-size_t GuardBytes(const GuardClause& guard) {
-  size_t bytes = sizeof(GuardClause);
-  if (guard.prog) {
-    bytes += guard.prog->code().size() * sizeof(micro::Insn);
+// Guard admission: every entry that puts a guard on a binding calls
+// AdmitGuard, which has one check per guard form.
+
+// Native and closure guards: the declared type against the event (§2.4).
+void CheckNativeGuard(const EventBase& event, const GuardClause& guard) {
+  if (guard.sig == nullptr || guard.fn == nullptr ||
+      guard.invoker == nullptr) {
+    throw InstallError(InstallStatus::kTypecheckFailed,
+                       event.name() + ": guard has no declared type");
   }
-  return bytes;
+  // MakeGuard's closure has the type of the guard's first parameter.
+  TypecheckOptions topts;
+  topts.has_closure = guard.closure_form;
+  if (guard.closure_form && !guard.sig->params.empty()) {
+    topts.closure_type = guard.sig->params[0].ref_type;
+  }
+  core_internal::ThrowIfTypecheckFails(
+      CheckGuard(event.sig(), *guard.sig, topts), event.name());
+}
+
+// A micro-program handler or guard must be valid and read no more than
+// `width` arguments.
+void CheckMicroProgram(const EventBase& event, const micro::Program& prog,
+                       size_t width) {
+  if (prog.Validate() != micro::ValidateStatus::kOk) {
+    throw InstallError(InstallStatus::kInvalidMicroProgram, event.name());
+  }
+  if (static_cast<size_t>(prog.num_args()) > width) {
+    throw InstallError(TypecheckStatus::kArityMismatch, event.name());
+  }
+}
+
+// Micro-program guards: FUNCTIONAL, valid and no wider than the event, then
+// compiled once so EvalGuards calls native code, unless the clause is
+// pinned to the interpreter (a null body, when codegen is unavailable,
+// falls back to it too).
+void CheckMicroGuard(const EventBase& event, GuardClause& guard) {
+  const micro::Program& prog = *guard.prog;
+  if (!prog.functional()) {
+    throw InstallError(TypecheckStatus::kGuardNotFunctional, event.name());
+  }
+  CheckMicroProgram(event, prog,
+                    event.sig().params.size() + (guard.closure_form ? 1 : 0));
+  if (guard.mode == GuardCompileMode::kJit && guard.compiled == nullptr) {
+    guard.compiled = codegen::CompileMicro(prog);
+  }
+}
+
+void AdmitGuard(const EventBase& event, GuardClause& guard) {
+  if (guard.prog.has_value()) {
+    CheckMicroGuard(event, guard);
+  } else {
+    CheckNativeGuard(event, guard);
+  }
 }
 
 bool SigJitable(const ProcSig& sig) {
@@ -167,15 +214,9 @@ void AuthRequest::ImposeGuard(GuardClause guard) {
   SPIN_ASSERT_MSG(op == AuthOp::kInstall && binding != nullptr,
                   "ImposeGuard is only valid while authorizing an install");
   guard.imposed = true;
-  // Micro-program impositions compile here so every evaluation site — the
-  // local raise path and the exporter's per-request re-enforcement — runs
-  // native code. nullptr falls back to the interpreter.
-  if (guard.prog.has_value() && guard.compiled == nullptr &&
-      guard.prog->Validate() == micro::ValidateStatus::kOk) {
-    guard.compiled = codegen::CompileMicro(*guard.prog);
-  }
+  AdmitGuard(*event, guard);  // compiles a micro guard for every evaluator
   // The candidate binding is not yet visible to raises.
-  binding->AddGuard(std::move(guard), /*front=*/true);
+  binding->AddGuard(std::move(guard));
 }
 
 void AuthRequest::SetOrder(Order order) {
@@ -284,12 +325,9 @@ bool Dispatcher::Authorize(AuthRequest& request) {
 
 void Dispatcher::CheckIsAuthorityOrAuthorized(EventBase& event, AuthOp op,
                                               const Module* requestor,
-                                              void* credentials) {
-  AuthRequest request;
-  request.op = op;
-  request.event = &event;
-  request.requestor = requestor;
-  request.credentials = credentials;
+                                              void* credentials,
+                                              Binding* binding) {
+  AuthRequest request{op, &event, binding, requestor, credentials};
   if (!AuthorizeLocked(request)) {
     throw InstallError(InstallStatus::kNotAuthorized, event.name());
   }
@@ -331,6 +369,13 @@ BindingHandle Dispatcher::Install(EventBase& event,
     throw InstallError(InstallStatus::kAsyncByRef, event.name());
   }
   binding->sig.ephemeral = binding->ephemeral;
+  // The installer's guards are on the binding before the authorizer sees
+  // it; they and any it imposes are charged and published with it.
+  for (const GuardClause& clause : opts.guards) {
+    GuardClause guard = clause;
+    AdmitGuard(event, guard);
+    binding->AddGuard(std::move(guard));
+  }
 
   std::lock_guard<std::mutex> lock(mu_);
   if (event.require_ephemeral_ && !binding->ephemeral &&
@@ -338,18 +383,10 @@ BindingHandle Dispatcher::Install(EventBase& event,
     throw InstallError(InstallStatus::kEphemeralRequired, event.name());
   }
   if (!binding->intrinsic) {
-    AuthRequest request;
-    request.op = AuthOp::kInstall;
-    request.event = &event;
-    request.binding = binding.get();
-    request.requestor = opts.module;
-    request.credentials = opts.credentials;
-    if (!AuthorizeLocked(request)) {
-      throw InstallError(InstallStatus::kNotAuthorized, event.name());
-    }
+    CheckIsAuthorityOrAuthorized(event, AuthOp::kInstall, opts.module,
+                                 opts.credentials, binding.get());
   }
-  size_t bytes = binding->MemoryBytes();
-  if (!quota_.Charge(binding->owner, bytes)) {
+  if (!quota_.Charge(binding->owner, binding->MemoryBytes())) {
     throw InstallError(InstallStatus::kQuotaExceeded, event.name());
   }
   PlaceLocked(event, binding, binding->order.Get());
@@ -366,22 +403,16 @@ BindingHandle Dispatcher::Install(EventBase& event,
 BindingHandle Dispatcher::InstallDefault(EventBase& event,
                                          std::shared_ptr<Binding> binding,
                                          const InstallOptions& opts) {
+  SPIN_ASSERT_MSG(opts.guards.empty(),
+                  "a default handler runs unguarded when nothing else fires");
   binding->event = &event;
   if (binding->owner == nullptr) {
     binding->owner = opts.module;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  AuthRequest request;
-  request.op = AuthOp::kSetDefault;
-  request.event = &event;
-  request.binding = binding.get();
-  request.requestor = opts.module;
-  request.credentials = opts.credentials;
-  if (!AuthorizeLocked(request)) {
-    throw InstallError(InstallStatus::kNotAuthorized, event.name());
-  }
-  size_t bytes = binding->MemoryBytes();
-  if (!quota_.Charge(binding->owner, bytes)) {
+  CheckIsAuthorityOrAuthorized(event, AuthOp::kSetDefault, opts.module,
+                               opts.credentials, binding.get());
+  if (!quota_.Charge(binding->owner, binding->MemoryBytes())) {
     throw InstallError(InstallStatus::kQuotaExceeded, event.name());
   }
   if (event.default_binding != nullptr) {
@@ -400,32 +431,17 @@ BindingHandle Dispatcher::InstallDefault(EventBase& event,
 BindingHandle Dispatcher::InstallMicroHandler(EventBase& event,
                                               micro::Program prog,
                                               const InstallOptions& opts) {
-  if (prog.Validate() != micro::ValidateStatus::kOk) {
-    throw InstallError(InstallStatus::kInvalidMicroProgram, event.name());
-  }
-  if (prog.num_args() > static_cast<int>(event.sig().params.size())) {
-    throw InstallError(TypecheckStatus::kArityMismatch, event.name());
-  }
-  auto binding = std::make_shared<Binding>();
-  binding->sig = event.sig();
+  CheckMicroProgram(event, prog, event.sig().params.size());
+  auto binding = core_internal::MakeBinding(nullptr, nullptr, event.sig(),
+                                            opts);
   binding->prog = std::move(prog);
-  binding->owner = opts.module;
-  binding->async = opts.async;
-  binding->ephemeral = opts.ephemeral;
-  binding->order = opts.order;
   return Install(event, std::move(binding), opts);
 }
 
 BindingHandle Dispatcher::InstallErasedHandler(EventBase& event, void* ctx,
                                                HandlerInvoker invoker,
                                                const InstallOptions& opts) {
-  auto binding = std::make_shared<Binding>();
-  binding->sig = event.sig();
-  binding->fn = ctx;
-  binding->invoker = invoker;
-  binding->owner = opts.module;
-  binding->async = opts.async;
-  binding->ephemeral = opts.ephemeral;
+  auto binding = core_internal::MakeBinding(ctx, invoker, event.sig(), opts);
   // Erased handlers have no native-ABI entry the stub compiler could call
   // (`fn` is an opaque context, not a procedure), so the binding must take
   // the interpreted path unconditionally — `erased` bars it from the
@@ -433,49 +449,20 @@ BindingHandle Dispatcher::InstallErasedHandler(EventBase& event, void* ctx,
   // invoker surface exceptions through the raise.
   binding->erased = true;
   binding->may_throw = true;
-  binding->order = opts.order;
   return Install(event, std::move(binding), opts);
 }
 
 void Dispatcher::AddMicroGuard(const BindingHandle& binding,
                                micro::Program prog, GuardCompileMode mode) {
-  if (!prog.functional()) {
-    throw InstallError(TypecheckStatus::kGuardNotFunctional,
-                       binding->event->name());
-  }
-  if (prog.Validate() != micro::ValidateStatus::kOk) {
-    throw InstallError(InstallStatus::kInvalidMicroProgram,
-                       binding->event->name());
-  }
-  GuardClause clause;
-  clause.prog = std::move(prog);
-  if (mode == GuardCompileMode::kJit) {
-    // Compile once at install; EvalGuards then calls native code instead
-    // of the interpreter. nullptr (codegen unavailable, >6 args) falls
-    // back to interpretation.
-    clause.compiled = codegen::CompileMicro(*clause.prog);
-  }
-  InsertGuard(binding, std::move(clause), /*front=*/false);
+  InsertGuard(binding, MakeMicroGuard(std::move(prog), mode));
 }
 
 void Dispatcher::ImposeMicroGuard(const BindingHandle& binding,
                                   micro::Program prog,
                                   GuardCompileMode mode) {
-  if (!prog.functional()) {
-    throw InstallError(TypecheckStatus::kGuardNotFunctional,
-                       binding->event->name());
-  }
-  if (prog.Validate() != micro::ValidateStatus::kOk) {
-    throw InstallError(InstallStatus::kInvalidMicroProgram,
-                       binding->event->name());
-  }
-  GuardClause clause;
-  clause.prog = std::move(prog);
-  clause.imposed = true;
-  if (mode == GuardCompileMode::kJit) {
-    clause.compiled = codegen::CompileMicro(*clause.prog);
-  }
-  InsertGuard(binding, std::move(clause), /*front=*/true);
+  GuardClause guard = MakeImposedMicroGuard(std::move(prog));
+  guard.mode = mode;
+  InsertGuard(binding, std::move(guard));
 }
 
 void Dispatcher::RemoveGuard(const BindingHandle& binding, size_t index,
@@ -492,16 +479,10 @@ void Dispatcher::RemoveGuard(const BindingHandle& binding, size_t index,
   std::vector<GuardClause> guards = *binding->guards();
   if (guards[index].imposed) {
     // Manipulating an authority-imposed guard is itself authorized.
-    AuthRequest request;
-    request.op = AuthOp::kImposeGuard;
-    request.event = &event;
-    request.binding = binding.get();
-    request.requestor = requestor;
-    if (!AuthorizeLocked(request)) {
-      throw InstallError(InstallStatus::kNotAuthorized, event.name());
-    }
+    CheckIsAuthorityOrAuthorized(event, AuthOp::kImposeGuard, requestor,
+                                 nullptr, binding.get());
   }
-  quota_.Release(binding->owner, GuardBytes(guards[index]));
+  quota_.Release(binding->owner, guards[index].MemoryBytes());
   guards.erase(guards.begin() + static_cast<ptrdiff_t>(index));
   binding->SetGuards(std::move(guards));
   RebuildLocked(event);
@@ -598,8 +579,9 @@ void Dispatcher::DescribeAll(std::ostream& os) const {
   os << line;
 }
 
-void Dispatcher::InsertGuard(const BindingHandle& binding, GuardClause clause,
-                             bool front) {
+void Dispatcher::InsertGuard(const BindingHandle& binding,
+                             GuardClause guard) {
+  AdmitGuard(*binding->event, guard);
   // Copy, insert and republish under one hold of mu_, so concurrent guard
   // changes on the same binding each start from the other's result.
   std::lock_guard<std::mutex> lock(mu_);
@@ -609,10 +591,10 @@ void Dispatcher::InsertGuard(const BindingHandle& binding, GuardClause clause,
   }
   // Guard storage counts against the owner's quota (§2.6): without this an
   // extension could hoard memory by piling guards onto one binding.
-  if (!quota_.Charge(binding->owner, GuardBytes(clause))) {
+  if (!quota_.Charge(binding->owner, guard.MemoryBytes())) {
     throw InstallError(InstallStatus::kQuotaExceeded, binding->event->name());
   }
-  binding->AddGuard(std::move(clause), front);
+  binding->AddGuard(std::move(guard));
   RebuildLocked(*binding->event);
 }
 
@@ -623,15 +605,8 @@ void Dispatcher::Uninstall(const BindingHandle& binding,
   if (!binding->active.load(std::memory_order_acquire)) {
     throw InstallError(InstallStatus::kBindingInactive, event.name());
   }
-  AuthRequest request;
-  request.op = AuthOp::kUninstall;
-  request.event = &event;
-  request.binding = binding.get();
-  request.requestor = requestor;
-  request.credentials = credentials;
-  if (!AuthorizeLocked(request)) {
-    throw InstallError(InstallStatus::kNotAuthorized, event.name());
-  }
+  CheckIsAuthorityOrAuthorized(event, AuthOp::kUninstall, requestor,
+                               credentials, binding.get());
   binding->active.store(false, std::memory_order_release);
   if (event.default_binding == binding) {
     event.default_binding = nullptr;
@@ -875,7 +850,7 @@ void Dispatcher::RebuildLocked(EventBase& event) {
     spec.optimize = config_.optimize;
     std::optional<TreePlan> tree_plan;
     if (config_.guard_tree &&
-        table->sync_bindings.size() >= config_.guard_tree_threshold) {
+        table->sync_bindings.size() >= kGuardTreeThreshold) {
       tree_plan = PlanGuardTree(table->sync_bindings);
     }
     for (size_t b = 0; b < table->sync_bindings.size(); ++b) {

@@ -14,6 +14,9 @@
 //   ...
 //   Syscall.Raise(strand, state);
 //
+// Guards travel with their handler (InstallOptions::guards): a guarded
+// install is one authorization, one quota charge and one rebuild.
+//
 // Events with only their intrinsic handler dispatch as a plain indirect
 // call; richer events go through a runtime-generated stub (x86-64) or the
 // interpreter, all semantically equivalent.
@@ -50,6 +53,9 @@ class Event;
 
 struct InstallOptions {
   Order order{};
+  // The installer's guards (MakeGuard, MakeMicroGuard), on the binding
+  // before the authorizer sees it and published with it.
+  std::vector<GuardClause> guards;
   bool async = false;      // run this handler detached (§2.6)
   bool ephemeral = false;  // handler invites termination (EPHEMERAL)
   // Handlers invoked from generated code must not throw: C++ exceptions
@@ -71,22 +77,21 @@ class Dispatcher {
     bool reorder_guards = true;  // D4: cheap (inlinable) guards first
     bool allow_direct = true;    // D1: intrinsic-bypass fast path
     // Guard decision tree (§3.2 future work, off by default to match the
-    // evaluated system): when >= guard_tree_threshold bindings each carry a
+    // evaluated system): when >= kGuardTreeThreshold bindings each carry a
     // micro guard comparing the same header field against distinct
     // constants, compile a binary-search dispatch instead of a linear
     // guard chain.
     bool guard_tree = false;
-    size_t guard_tree_threshold = 4;
     // Incremental installation (§3.1 future work, off by default): defer
-    // stub compilation until an event has been raised
-    // lazy_promote_raises times, making installs O(1) until the event
-    // proves hot.
+    // stub compilation until an event has been raised kLazyPromoteRaises
+    // times, making installs O(1) until the event proves hot.
     bool lazy_compile = false;
-    uint32_t lazy_promote_raises = 64;
     AsyncMode async_mode = AsyncMode::kPooled;
     ThreadPool* pool = nullptr;        // default: ThreadPool::Global()
     size_t quota_bytes_per_module = 4u << 20;
   };
+  static constexpr size_t kGuardTreeThreshold = 4;
+  static constexpr uint32_t kLazyPromoteRaises = 64;
 
   Dispatcher() : Dispatcher(Config{}) {}
   explicit Dispatcher(const Config& config);
@@ -103,7 +108,8 @@ class Dispatcher {
   BindingHandle InstallHandler(Event<R(A...)>& event, R (*handler)(A...),
                                const InstallOptions& opts = {});
 
-  // Figure 2's three-argument form: guard, then handler.
+  // Figure 2's three-argument form: guard, then handler. The guard goes
+  // first in the binding's list, ahead of opts.guards.
   template <typename R, typename... A>
   BindingHandle InstallHandler(Event<R(A...)>& event, bool (*guard)(A...),
                                R (*handler)(A...),
@@ -146,7 +152,8 @@ class Dispatcher {
                                      HandlerInvoker invoker,
                                      const InstallOptions& opts = {});
 
-  // --- Guards ----------------------------------------------------------
+  // --- Guards on an installed binding (§2.5's dynamic guards) -----------
+  // Each call is one quota charge and one rebuild of its own.
 
   template <typename R, typename... A>
   void AddGuard(Event<R(A...)>& event, const BindingHandle& binding,
@@ -156,11 +163,7 @@ class Dispatcher {
   void AddGuard(Event<R(A...)>& event, const BindingHandle& binding,
                 bool (*guard)(C*, A...), C* closure);
 
-  // How a micro-program guard clause executes on the raise path. kJit
-  // compiles the program to a native procedure at install time (falling
-  // back to the interpreter when codegen is unavailable); kInterpret pins
-  // the interpreted path — the nojit oracle and the ablation baseline.
-  enum class GuardCompileMode : uint8_t { kJit, kInterpret };
+  using GuardCompileMode = spin::GuardCompileMode;
 
   void AddMicroGuard(const BindingHandle& binding, micro::Program prog,
                      GuardCompileMode mode = GuardCompileMode::kJit);
@@ -235,7 +238,8 @@ class Dispatcher {
   // Infrastructure that mediates bindings it does not hand to Install —
   // the remote exporter authorizing a bind from another host — consults
   // the §2.5 machinery through this entry instead of forking it. Returns
-  // false on denial; events without an authorizer are open.
+  // false on denial, throws InstallError for an imposed guard that fails
+  // its admission check; events without an authorizer are open.
   bool Authorize(AuthRequest& request);
 
   // --- Event-level properties -------------------------------------------
@@ -325,14 +329,16 @@ class Dispatcher {
   bool AuthorizeLocked(AuthRequest& request);
   void PlaceLocked(EventBase& event, const BindingHandle& binding,
                    const Order& order);
-  // Inserts `clause` at the front (imposed guards) or the back of the
-  // binding's guard list, charges its bytes to the owner's quota and
-  // rebuilds the event: the whole change under one hold of mu_.
-  void InsertGuard(const BindingHandle& binding, GuardClause clause,
-                   bool front);
+  // Admits `guard`, then inserts it at the front (imposed guards) or the
+  // back of the binding's guard list, charges its bytes to the owner's
+  // quota and rebuilds the event under one hold of mu_.
+  void InsertGuard(const BindingHandle& binding, GuardClause guard);
+  // Runs the operation through the event's authorizer; throws
+  // InstallError(kNotAuthorized) on denial.
   void CheckIsAuthorityOrAuthorized(EventBase& event, AuthOp op,
                                     const Module* requestor,
-                                    void* credentials);
+                                    void* credentials,
+                                    Binding* binding = nullptr);
 
   static void ExportMetricsSource(void* ctx, std::ostream& os);
 
@@ -443,15 +449,89 @@ class Event<R(A...)> : public EventBase {
   }
 };
 
+// --- Guard clauses ----------------------------------------------------------
+
+namespace core_internal {
+
+// The declared type of every guard with C++ signature `Sig`, built once.
+template <typename Sig>
+const ProcSig* GuardSigOf() {
+  static const ProcSig sig = [] {
+    ProcSig s = MakeProcSig<Sig>();
+    s.functional = true;  // declared FUNCTIONAL at registration
+    return s;
+  }();
+  return &sig;
+}
+
+}  // namespace core_internal
+
+// Builds a typed guard clause for InstallOptions::guards. The clause
+// carries its declared type, which is checked against the event when the
+// guard is admitted.
+template <typename... A>
+GuardClause MakeGuard(bool (*guard)(A...)) {
+  GuardClause clause;
+  clause.fn = reinterpret_cast<void*>(guard);
+  clause.invoker = &GuardInvoke<bool(A...)>::Call;
+  clause.sig = core_internal::GuardSigOf<bool(A...)>();
+  return clause;
+}
+
+// Closure form: `closure` is passed as the guard's first argument.
+template <typename C, typename... A>
+GuardClause MakeGuard(bool (*guard)(C*, A...), C* closure) {
+  GuardClause clause;
+  clause.fn = reinterpret_cast<void*>(guard);
+  clause.closure = closure;
+  clause.closure_form = true;
+  clause.invoker = &GuardInvokeClosure<bool(C*, A...)>::Call;
+  clause.sig = core_internal::GuardSigOf<bool(C*, A...)>();
+  return clause;
+}
+
+// Builds a micro-program guard clause for InstallOptions::guards.
+inline GuardClause MakeMicroGuard(
+    micro::Program prog, GuardCompileMode mode = GuardCompileMode::kJit) {
+  GuardClause clause;
+  clause.prog = std::move(prog);
+  clause.mode = mode;
+  return clause;
+}
+
+// Builds a typed imposed-guard clause for use from an authorizer callback
+// (AuthRequest::ImposeGuard), mirroring Figure 3's Dispatcher.ImposeGuard.
+template <typename C, typename... A>
+GuardClause MakeImposedGuard(bool (*guard)(C*, A...), C* closure) {
+  GuardClause clause = MakeGuard(guard, closure);
+  clause.imposed = true;
+  return clause;
+}
+
+// Builds a micro-program imposed-guard clause for use from an authorizer
+// callback. This is the only imposed-guard shape that can cross the wire
+// to a remote binder (see src/remote): the program must be FUNCTIONAL and
+// address-free, with num_args equal to the event's parameter count.
+inline GuardClause MakeImposedMicroGuard(micro::Program prog) {
+  GuardClause clause = MakeMicroGuard(std::move(prog));
+  clause.imposed = true;
+  return clause;
+}
+
 // --- Typed method implementations -------------------------------------------
 
 namespace core_internal {
 
-template <typename R, typename... A>
-std::shared_ptr<Binding> MakeNativeBinding(Event<R(A...)>& event,
-                                           void* fn, HandlerInvoker invoker,
-                                           ProcSig sig,
-                                           const InstallOptions& opts) {
+inline void ThrowIfTypecheckFails(TypecheckStatus status,
+                                  const std::string& what) {
+  if (status != TypecheckStatus::kOk) {
+    throw InstallError(status, what);
+  }
+}
+
+inline std::shared_ptr<Binding> MakeBinding(void* fn, HandlerInvoker invoker,
+                                            ProcSig sig,
+                                            const InstallOptions& opts) {
   auto binding = std::make_shared<Binding>();
   binding->fn = fn;
   binding->invoker = invoker;
@@ -461,15 +541,35 @@ std::shared_ptr<Binding> MakeNativeBinding(Event<R(A...)>& event,
   binding->ephemeral = opts.ephemeral;
   binding->may_throw = opts.may_throw;
   binding->order = opts.order;
-  (void)event;
   return binding;
 }
 
-inline void ThrowIfTypecheckFails(TypecheckStatus status,
-                                  const std::string& what) {
-  if (status != TypecheckStatus::kOk) {
-    throw InstallError(status, what);
-  }
+template <typename R, typename... A>
+std::shared_ptr<Binding> HandlerBinding(Event<R(A...)>& event,
+                                        R (*handler)(A...),
+                                        const InstallOptions& opts) {
+  ProcSig sig = MakeProcSig<R(A...)>();
+  ThrowIfTypecheckFails(CheckHandler(event.sig(), sig, {}), event.name());
+  return MakeBinding(reinterpret_cast<void*>(handler),
+                     &NativeInvoke<R(A...), R(A...)>::Call, std::move(sig),
+                     opts);
+}
+
+template <typename R, typename... A, typename C>
+std::shared_ptr<Binding> ClosureBinding(Event<R(A...)>& event,
+                                        R (*handler)(C*, A...), C* closure,
+                                        const InstallOptions& opts) {
+  ProcSig sig = MakeProcSig<R(C*, A...)>();
+  TypecheckOptions topts;
+  topts.has_closure = true;
+  topts.closure_type = TypeOf<C>();
+  ThrowIfTypecheckFails(CheckHandler(event.sig(), sig, topts), event.name());
+  auto binding = MakeBinding(
+      reinterpret_cast<void*>(handler),
+      &NativeInvokeClosure<R(A...), R(C*, A...)>::Call, std::move(sig), opts);
+  binding->closure = closure;
+  binding->closure_form = true;
+  return binding;
 }
 
 }  // namespace core_internal
@@ -478,13 +578,8 @@ template <typename R, typename... A>
 BindingHandle Dispatcher::InstallHandler(Event<R(A...)>& event,
                                          R (*handler)(A...),
                                          const InstallOptions& opts) {
-  ProcSig sig = MakeProcSig<R(A...)>();
-  core_internal::ThrowIfTypecheckFails(CheckHandler(event.sig(), sig, {}),
-                                       event.name());
-  auto binding = core_internal::MakeNativeBinding(
-      event, reinterpret_cast<void*>(handler),
-      &NativeInvoke<R(A...), R(A...)>::Call, std::move(sig), opts);
-  return Install(event, std::move(binding), opts);
+  return Install(event, core_internal::HandlerBinding(event, handler, opts),
+                 opts);
 }
 
 template <typename R, typename... A>
@@ -492,41 +587,18 @@ BindingHandle Dispatcher::InstallHandler(Event<R(A...)>& event,
                                          bool (*guard)(A...),
                                          R (*handler)(A...),
                                          const InstallOptions& opts) {
-  ProcSig guard_sig = MakeProcSig<bool(A...)>();
-  guard_sig.functional = true;  // declared FUNCTIONAL at registration
-  core_internal::ThrowIfTypecheckFails(
-      CheckGuard(event.sig(), guard_sig, {}), event.name());
-
-  ProcSig sig = MakeProcSig<R(A...)>();
-  core_internal::ThrowIfTypecheckFails(CheckHandler(event.sig(), sig, {}),
-                                       event.name());
-  auto binding = core_internal::MakeNativeBinding(
-      event, reinterpret_cast<void*>(handler),
-      &NativeInvoke<R(A...), R(A...)>::Call, std::move(sig), opts);
-  GuardClause clause;
-  clause.fn = reinterpret_cast<void*>(guard);
-  clause.invoker = &GuardInvoke<bool(A...)>::Call;
-  binding->AddGuard(std::move(clause), /*front=*/false);
-  return Install(event, std::move(binding), opts);
+  InstallOptions guarded = opts;
+  guarded.guards.insert(guarded.guards.begin(), MakeGuard(guard));
+  return InstallHandler(event, handler, guarded);
 }
 
 template <typename R, typename... A, typename C>
 BindingHandle Dispatcher::InstallHandler(Event<R(A...)>& event,
                                          R (*handler)(C*, A...), C* closure,
                                          const InstallOptions& opts) {
-  ProcSig sig = MakeProcSig<R(C*, A...)>();
-  TypecheckOptions topts;
-  topts.has_closure = true;
-  topts.closure_type = TypeOf<C>();
-  core_internal::ThrowIfTypecheckFails(
-      CheckHandler(event.sig(), sig, topts), event.name());
-  auto binding = core_internal::MakeNativeBinding(
-      event, reinterpret_cast<void*>(handler),
-      &NativeInvokeClosure<R(A...), R(C*, A...)>::Call, std::move(sig),
+  return Install(
+      event, core_internal::ClosureBinding(event, handler, closure, opts),
       opts);
-  binding->closure = closure;
-  binding->closure_form = true;
-  return Install(event, std::move(binding), opts);
 }
 
 template <typename R, typename... A, typename F>
@@ -553,8 +625,8 @@ BindingHandle Dispatcher::InstallFilter(Event<R(A...)>& event,
   topts.as_filter = true;
   core_internal::ThrowIfTypecheckFails(
       CheckHandler(event.sig(), sig, topts), event.name());
-  auto binding = core_internal::MakeNativeBinding(
-      event, reinterpret_cast<void*>(filter),
+  auto binding = core_internal::MakeBinding(
+      reinterpret_cast<void*>(filter),
       &NativeInvoke<R(A...), R(FA...)>::Call, std::move(sig), opts);
   // Record which by-value parameters the filter widened to by-ref.
   uint8_t index = 0;
@@ -565,68 +637,31 @@ BindingHandle Dispatcher::InstallFilter(Event<R(A...)>& event,
   return Install(event, std::move(binding), opts);
 }
 
+// Guards are checked against the event the binding is installed on.
 template <typename R, typename... A>
-void Dispatcher::AddGuard(Event<R(A...)>& event, const BindingHandle& binding,
+void Dispatcher::AddGuard(Event<R(A...)>&, const BindingHandle& binding,
                           bool (*guard)(A...)) {
-  ProcSig guard_sig = MakeProcSig<bool(A...)>();
-  guard_sig.functional = true;
-  core_internal::ThrowIfTypecheckFails(
-      CheckGuard(event.sig(), guard_sig, {}), event.name());
-  GuardClause clause;
-  clause.fn = reinterpret_cast<void*>(guard);
-  clause.invoker = &GuardInvoke<bool(A...)>::Call;
-  InsertGuard(binding, std::move(clause), /*front=*/false);
+  InsertGuard(binding, MakeGuard(guard));
 }
 
 template <typename R, typename... A, typename C>
-void Dispatcher::AddGuard(Event<R(A...)>& event, const BindingHandle& binding,
+void Dispatcher::AddGuard(Event<R(A...)>&, const BindingHandle& binding,
                           bool (*guard)(C*, A...), C* closure) {
-  ProcSig guard_sig = MakeProcSig<bool(C*, A...)>();
-  guard_sig.functional = true;
-  TypecheckOptions topts;
-  topts.has_closure = true;
-  topts.closure_type = TypeOf<C>();
-  core_internal::ThrowIfTypecheckFails(
-      CheckGuard(event.sig(), guard_sig, topts), event.name());
-  GuardClause clause;
-  clause.fn = reinterpret_cast<void*>(guard);
-  clause.closure = closure;
-  clause.closure_form = true;
-  clause.invoker = &GuardInvokeClosure<bool(C*, A...)>::Call;
-  InsertGuard(binding, std::move(clause), /*front=*/false);
+  InsertGuard(binding, MakeGuard(guard, closure));
 }
 
 template <typename R, typename... A, typename C>
-void Dispatcher::ImposeGuard(Event<R(A...)>& event,
-                             const BindingHandle& binding,
+void Dispatcher::ImposeGuard(Event<R(A...)>&, const BindingHandle& binding,
                              bool (*guard)(C*, A...), C* closure) {
-  ProcSig guard_sig = MakeProcSig<bool(C*, A...)>();
-  guard_sig.functional = true;
-  TypecheckOptions topts;
-  topts.has_closure = true;
-  topts.closure_type = TypeOf<C>();
-  core_internal::ThrowIfTypecheckFails(
-      CheckGuard(event.sig(), guard_sig, topts), event.name());
-  GuardClause clause;
-  clause.fn = reinterpret_cast<void*>(guard);
-  clause.closure = closure;
-  clause.closure_form = true;
-  clause.imposed = true;
-  clause.invoker = &GuardInvokeClosure<bool(C*, A...)>::Call;
-  InsertGuard(binding, std::move(clause), /*front=*/true);
+  InsertGuard(binding, MakeImposedGuard(guard, closure));
 }
 
 template <typename R, typename... A>
 BindingHandle Dispatcher::InstallDefaultHandler(Event<R(A...)>& event,
                                                 R (*handler)(A...),
                                                 const InstallOptions& opts) {
-  ProcSig sig = MakeProcSig<R(A...)>();
-  core_internal::ThrowIfTypecheckFails(CheckHandler(event.sig(), sig, {}),
-                                       event.name());
-  auto binding = core_internal::MakeNativeBinding(
-      event, reinterpret_cast<void*>(handler),
-      &NativeInvoke<R(A...), R(A...)>::Call, std::move(sig), opts);
-  return InstallDefault(event, std::move(binding), opts);
+  return InstallDefault(
+      event, core_internal::HandlerBinding(event, handler, opts), opts);
 }
 
 template <typename R, typename... A, typename C>
@@ -634,19 +669,9 @@ BindingHandle Dispatcher::InstallDefaultHandler(Event<R(A...)>& event,
                                                 R (*handler)(C*, A...),
                                                 C* closure,
                                                 const InstallOptions& opts) {
-  ProcSig sig = MakeProcSig<R(C*, A...)>();
-  TypecheckOptions topts;
-  topts.has_closure = true;
-  topts.closure_type = TypeOf<C>();
-  core_internal::ThrowIfTypecheckFails(
-      CheckHandler(event.sig(), sig, topts), event.name());
-  auto binding = core_internal::MakeNativeBinding(
-      event, reinterpret_cast<void*>(handler),
-      &NativeInvokeClosure<R(A...), R(C*, A...)>::Call, std::move(sig),
+  return InstallDefault(
+      event, core_internal::ClosureBinding(event, handler, closure, opts),
       opts);
-  binding->closure = closure;
-  binding->closure_form = true;
-  return InstallDefault(event, std::move(binding), opts);
 }
 
 template <typename R, typename... A>
@@ -662,39 +687,6 @@ void Dispatcher::SetResultHandler(Event<R(A...)>& event,
                                 SlotCodec<R>::Unpack(current), index));
   };
   SetResultFold(event, erased, reinterpret_cast<void*>(fold), requestor);
-}
-
-// Builds a typed imposed-guard clause for use from an authorizer callback
-// (AuthRequest::ImposeGuard), mirroring Figure 3's Dispatcher.ImposeGuard.
-template <typename C, typename... A>
-GuardClause MakeImposedGuard(bool (*guard)(C*, A...), C* closure) {
-  GuardClause clause;
-  clause.fn = reinterpret_cast<void*>(guard);
-  clause.closure = closure;
-  clause.closure_form = true;
-  clause.imposed = true;
-  clause.invoker = &GuardInvokeClosure<bool(C*, A...)>::Call;
-  return clause;
-}
-
-// Builds a micro-program imposed-guard clause for use from an authorizer
-// callback. This is the only imposed-guard shape that can cross the wire
-// to a remote binder (see src/remote): the program must be FUNCTIONAL and
-// address-free, with num_args equal to the event's parameter count.
-inline GuardClause MakeImposedMicroGuard(micro::Program prog) {
-  GuardClause clause;
-  clause.prog = std::move(prog);
-  clause.imposed = true;
-  return clause;
-}
-
-// Builds a typed guard clause without a closure.
-template <typename... A>
-GuardClause MakeGuard(bool (*guard)(A...)) {
-  GuardClause clause;
-  clause.fn = reinterpret_cast<void*>(guard);
-  clause.invoker = &GuardInvoke<bool(A...)>::Call;
-  return clause;
 }
 
 }  // namespace spin

@@ -8,9 +8,8 @@ MachEmulator::MachEmulator(Kernel& kernel) : kernel_(kernel) {
   //   Dispatcher.InstallHandler(MachineTrap.Syscall, SyscallGuard, Syscall)
   binding_ = kernel_.dispatcher().InstallHandler(
       kernel_.MachineTrapSyscall, &MachEmulator::Syscall, this,
-      {.module = &module_});
-  kernel_.dispatcher().AddGuard(kernel_.MachineTrapSyscall, binding_,
-                                &MachEmulator::SyscallGuard, this);
+      {.guards = {MakeGuard(&MachEmulator::SyscallGuard, this)},
+       .module = &module_});
 }
 
 MachEmulator::~MachEmulator() {

@@ -35,9 +35,8 @@ OsfEmulator::OsfEmulator(Kernel& kernel, fs::Vfs& vfs)
       EventNotify, +[](Strand*) {}, {.module = &module_});
   binding_ = kernel_.dispatcher().InstallHandler(
       kernel_.MachineTrapSyscall, &OsfEmulator::Syscall, this,
-      {.module = &module_});
-  kernel_.dispatcher().AddGuard(kernel_.MachineTrapSyscall, binding_,
-                                &OsfEmulator::SyscallGuard, this);
+      {.guards = {MakeGuard(&OsfEmulator::SyscallGuard, this)},
+       .module = &module_});
 }
 
 OsfEmulator::~OsfEmulator() {
@@ -115,9 +114,9 @@ SyscallTracer::SyscallTracer(Kernel& kernel, AddressSpace& traced)
   // rationale ("executed in an order that respects their dependencies").
   hook_binding_ = kernel_.dispatcher().InstallHandler(
       kernel_.MachineTrapSyscall, &SyscallTracer::Trace, this,
-      {.order = {OrderKind::kFirst}, .module = &module_});
-  kernel_.dispatcher().AddGuard(kernel_.MachineTrapSyscall, hook_binding_,
-                                &SyscallTracer::TraceGuard, this);
+      {.order = {OrderKind::kFirst},
+       .guards = {MakeGuard(&SyscallTracer::TraceGuard, this)},
+       .module = &module_});
 }
 
 SyscallTracer::~SyscallTracer() {

@@ -1,7 +1,6 @@
 #include "src/fs/logfs.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <string_view>
 
@@ -14,25 +13,32 @@ LogFs::LogFs(Vfs& vfs, std::string prefix)
       fd_base_(vfs.AllocateMountFdBase()) {
   vfs_.RegisterMount(prefix_);
   Dispatcher& d = vfs_.dispatcher();
-  auto open_b = d.InstallHandler(vfs_.Open, &LogFs::LogOpen, this,
-                                 {.module = &module_});
-  d.AddGuard(vfs_.Open, open_b, &LogFs::OpenGuard, this);
-  auto read_b = d.InstallHandler(vfs_.Read, &LogFs::LogRead, this,
-                                 {.module = &module_});
-  d.AddGuard(vfs_.Read, read_b, &LogFs::ReadGuard, this);
-  auto write_b = d.InstallHandler(vfs_.Write, &LogFs::LogWrite, this,
-                                  {.module = &module_});
-  d.AddGuard(vfs_.Write, write_b, &LogFs::WriteGuard, this);
-  auto close_b = d.InstallHandler(vfs_.CloseFd, &LogFs::LogClose, this,
-                                  {.module = &module_});
-  d.AddGuard(vfs_.CloseFd, close_b, &LogFs::CloseGuard, this);
-  auto remove_b = d.InstallHandler(vfs_.Remove, &LogFs::LogRemove, this,
-                                   {.module = &module_});
-  d.AddGuard(vfs_.Remove, remove_b, &LogFs::RemoveGuard, this);
-  bindings_ = {open_b, read_b, write_b, close_b, remove_b};
+  try {
+    bindings_.push_back(d.InstallHandler(
+        vfs_.Open, &LogFs::LogOpen, this,
+        {.guards = {MakeGuard(&LogFs::OpenGuard, this)}, .module = &module_}));
+    bindings_.push_back(d.InstallHandler(
+        vfs_.Read, &LogFs::LogRead, this,
+        {.guards = {MakeGuard(&LogFs::ReadGuard, this)}, .module = &module_}));
+    bindings_.push_back(d.InstallHandler(
+        vfs_.Write, &LogFs::LogWrite, this,
+        {.guards = {MakeGuard(&LogFs::WriteGuard, this)}, .module = &module_}));
+    bindings_.push_back(d.InstallHandler(
+        vfs_.CloseFd, &LogFs::LogClose, this,
+        {.guards = {MakeGuard(&LogFs::CloseGuard, this)}, .module = &module_}));
+    bindings_.push_back(d.InstallHandler(
+        vfs_.Remove, &LogFs::LogRemove, this,
+        {.guards = {MakeGuard(&LogFs::RemoveGuard, this)},
+         .module = &module_}));
+  } catch (...) {
+    Unmount();  // no destructor runs for a constructor that throws
+    throw;
+  }
 }
 
-LogFs::~LogFs() {
+LogFs::~LogFs() { Unmount(); }
+
+void LogFs::Unmount() {
   vfs_.UnregisterMount(prefix_);
   for (const BindingHandle& binding : bindings_) {
     if (binding->active.load()) {
@@ -76,8 +82,8 @@ bool LogFs::Materialize(const std::string& path,
     if (out->size() < record.offset + record.data.size()) {
       out->resize(record.offset + record.data.size());
     }
-    std::memcpy(out->data() + record.offset, record.data.data(),
-                record.data.size());
+    std::copy(record.data.begin(), record.data.end(),
+              out->begin() + record.offset);
   }
   return exists;
 }
@@ -118,7 +124,7 @@ int64_t LogFs::LogRead(LogFs* fs, int64_t fd, char* buf, int64_t len) {
   size_t available =
       content.size() > file.offset ? content.size() - file.offset : 0;
   size_t n = std::min(available, static_cast<size_t>(len));
-  std::memcpy(buf, content.data() + file.offset, n);
+  std::copy_n(content.data() + file.offset, n, buf);
   file.offset += n;
   return static_cast<int64_t>(n);
 }
@@ -173,8 +179,8 @@ void LogFs::Compact() {
     if (content.size() < record.offset + record.data.size()) {
       content.resize(record.offset + record.data.size());
     }
-    std::memcpy(content.data() + record.offset, record.data.data(),
-                record.data.size());
+    std::copy(record.data.begin(), record.data.end(),
+              content.begin() + record.offset);
   }
   log_.clear();
   for (auto& [path, content] : live) {

@@ -68,6 +68,8 @@ class LogFs {
   static bool CloseGuard(LogFs* fs, int64_t fd);
   static bool RemoveGuard(LogFs* fs, const char* path);
 
+  // Unregisters the mount and uninstalls every binding installed so far.
+  void Unmount();
   bool UnderPrefix(const char* path) const;
   bool OwnsFd(int64_t fd) const {
     return fd >= fd_base_ && fd < fd_base_ + Vfs::kMountFdRange;

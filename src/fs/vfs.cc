@@ -1,7 +1,6 @@
 #include "src/fs/vfs.h"
 
 #include <algorithm>
-#include <cstring>
 #include <string_view>
 
 namespace spin {
@@ -18,21 +17,21 @@ Vfs::Vfs(Dispatcher* dispatcher)
   // it carries the Vfs instance as a closure, so it is installed explicitly
   // rather than through the intrinsic slot. Guards decline mounted paths
   // and foreign fd ranges so mounted filesystems can coexist.
-  auto open_b = dispatcher_->InstallHandler(Open, &Vfs::UfsOpen, this,
-                                            {.module = &module_});
-  dispatcher_->AddGuard(Open, open_b, &Vfs::BaseOpenGuard, this);
-  auto read_b = dispatcher_->InstallHandler(Read, &Vfs::UfsRead, this,
-                                            {.module = &module_});
-  dispatcher_->AddGuard(Read, read_b, &Vfs::BaseReadGuard, this);
-  auto write_b = dispatcher_->InstallHandler(Write, &Vfs::UfsWrite, this,
-                                             {.module = &module_});
-  dispatcher_->AddGuard(Write, write_b, &Vfs::BaseWriteGuard, this);
-  auto close_b = dispatcher_->InstallHandler(CloseFd, &Vfs::UfsClose, this,
-                                             {.module = &module_});
-  dispatcher_->AddGuard(CloseFd, close_b, &Vfs::BaseCloseGuard, this);
-  auto remove_b = dispatcher_->InstallHandler(Remove, &Vfs::UfsRemove, this,
-                                              {.module = &module_});
-  dispatcher_->AddGuard(Remove, remove_b, &Vfs::BaseRemoveGuard, this);
+  dispatcher_->InstallHandler(
+      Open, &Vfs::UfsOpen, this,
+      {.guards = {MakeGuard(&Vfs::BaseOpenGuard, this)}, .module = &module_});
+  dispatcher_->InstallHandler(
+      Read, &Vfs::UfsRead, this,
+      {.guards = {MakeGuard(&Vfs::BaseReadGuard, this)}, .module = &module_});
+  dispatcher_->InstallHandler(
+      Write, &Vfs::UfsWrite, this,
+      {.guards = {MakeGuard(&Vfs::BaseWriteGuard, this)}, .module = &module_});
+  dispatcher_->InstallHandler(
+      CloseFd, &Vfs::UfsClose, this,
+      {.guards = {MakeGuard(&Vfs::BaseCloseGuard, this)}, .module = &module_});
+  dispatcher_->InstallHandler(
+      Remove, &Vfs::UfsRemove, this,
+      {.guards = {MakeGuard(&Vfs::BaseRemoveGuard, this)}, .module = &module_});
 
   // Operations nobody claims (a mounted prefix whose filesystem vanished,
   // an fd from a foreign range) fail with errno-style results instead of
@@ -125,7 +124,7 @@ int64_t Vfs::UfsRead(Vfs* vfs, int64_t fd, char* buf, int64_t len) {
   const std::vector<uint8_t>& data = vfs->files_[file.path];
   size_t available = data.size() > file.offset ? data.size() - file.offset : 0;
   size_t n = std::min(available, static_cast<size_t>(len));
-  std::memcpy(buf, data.data() + file.offset, n);
+  std::copy_n(data.data() + file.offset, n, buf);
   file.offset += n;
   return static_cast<int64_t>(n);
 }
@@ -141,7 +140,7 @@ int64_t Vfs::UfsWrite(Vfs* vfs, int64_t fd, const char* buf, int64_t len) {
   if (data.size() < file.offset + len) {
     data.resize(file.offset + len);
   }
-  std::memcpy(data.data() + file.offset, buf, len);
+  std::copy_n(buf, len, data.data() + file.offset);
   file.offset += len;
   return len;
 }

@@ -47,15 +47,15 @@ CompressionExtension::CompressionExtension(Host& sender, Host& receiver)
   compress_binding_ = sender_.dispatcher().InstallHandler(
       sender_.EtherPacketSend, &CompressionExtension::Compress, this,
       {.order = {OrderKind::kFirst}, .module = &module_});
-  decompress_binding_ = receiver_.dispatcher().InstallHandler(
-      receiver_.EtherPacketArrived, &CompressionExtension::Decompress, this,
-      {.order = {OrderKind::kFirst}, .module = &module_});
   // Only marked frames reach the decompressor: an inlinable one-byte guard
   // on the TOS marker.
-  receiver_.dispatcher().AddMicroGuard(
-      decompress_binding_,
-      micro::GuardArgFieldEq(/*num_args=*/1, /*arg=*/0, kIpTosOff,
-                             /*width=*/1, ~0ull, kCompressedTos));
+  decompress_binding_ = receiver_.dispatcher().InstallHandler(
+      receiver_.EtherPacketArrived, &CompressionExtension::Decompress, this,
+      {.order = {OrderKind::kFirst},
+       .guards = {MakeMicroGuard(micro::GuardArgFieldEq(
+           /*num_args=*/1, /*arg=*/0, kIpTosOff, /*width=*/1, ~0ull,
+           kCompressedTos))},
+       .module = &module_});
 }
 
 CompressionExtension::~CompressionExtension() {

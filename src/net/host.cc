@@ -149,17 +149,18 @@ Host::Host(std::string name, uint32_t ip, Dispatcher* dispatcher)
       {.order = {OrderKind::kLast}, .module = &module_});
 
   // The protocol layers attach as guarded extensions.
-  auto ip_binding = dispatcher_->InstallHandler(
-      EtherPacketArrived, &Host::IpInput, this, {.module = &module_});
-  dispatcher_->AddMicroGuard(ip_binding, EtherTypeGuard(kEtherTypeIp));
-
-  auto udp_binding = dispatcher_->InstallHandler(
-      IpPacketArrived, &Host::UdpInput, this, {.module = &module_});
-  dispatcher_->AddMicroGuard(udp_binding, IpProtoGuard(kIpProtoUdp));
-
-  auto tcp_binding = dispatcher_->InstallHandler(
-      IpPacketArrived, &Host::TcpInput, this, {.module = &module_});
-  dispatcher_->AddMicroGuard(tcp_binding, IpProtoGuard(kIpProtoTcp));
+  dispatcher_->InstallHandler(
+      EtherPacketArrived, &Host::IpInput, this,
+      {.guards = {MakeMicroGuard(EtherTypeGuard(kEtherTypeIp))},
+       .module = &module_});
+  dispatcher_->InstallHandler(
+      IpPacketArrived, &Host::UdpInput, this,
+      {.guards = {MakeMicroGuard(IpProtoGuard(kIpProtoUdp))},
+       .module = &module_});
+  dispatcher_->InstallHandler(
+      IpPacketArrived, &Host::TcpInput, this,
+      {.guards = {MakeMicroGuard(IpProtoGuard(kIpProtoTcp))},
+       .module = &module_});
 
   obs::RegisterSource(this, &Host::ExportMetricsSource);
 }
@@ -256,8 +257,8 @@ UdpSocket::UdpSocket(Host& host, uint16_t port, ReceiveFn on_receive)
     : host_(host), port_(port), on_receive_(std::move(on_receive)) {
   binding_ = host_.dispatcher().InstallHandler(
       host_.UdpPacketArrived, &UdpSocket::Input, this,
-      {.module = &host_.module()});
-  host_.dispatcher().AddMicroGuard(binding_, DstPortGuard(port_));
+      {.guards = {MakeMicroGuard(DstPortGuard(port_))},
+       .module = &host_.module()});
 }
 
 UdpSocket::~UdpSocket() {

@@ -29,12 +29,10 @@ TcpEndpoint::TcpEndpoint(Host& host, uint16_t local_port)
   conn_.driver = this;
   binding_ = host_.dispatcher().InstallHandler(
       host_.TcpPacketArrived, &TcpEndpoint::Input, this,
-      {.module = &host_.module()});
-  host_.dispatcher().AddMicroGuard(
-      binding_,
-      micro::GuardArgFieldEq(/*num_args=*/1, /*arg=*/0, kDstPortOff,
-                             /*width=*/2, ~0ull,
-                             PortFieldValue(local_port_)));
+      {.guards = {MakeMicroGuard(micro::GuardArgFieldEq(
+           /*num_args=*/1, /*arg=*/0, kDstPortOff, /*width=*/2, ~0ull,
+           PortFieldValue(local_port_)))},
+       .module = &host_.module()});
 }
 
 TcpEndpoint::~TcpEndpoint() {
@@ -119,23 +117,20 @@ bool TcpEndpoint::UseStack(sim::Simulator* sim, const std::string& name,
   auto module = std::make_unique<Module>("TcpStack." + name + "#" +
                                          std::to_string(conn_.id));
   Dispatcher& dispatcher = host_.dispatcher();
-  InstallOptions opts;
-  opts.module = module.get();
-  opts.credentials = credentials;
   BindingHandle installed[3];
   try {
     installed[0] = dispatcher.InstallHandler(
-        host_.TcpSegmentOut, &TcpEndpoint::StackSegmentOut, this, opts);
-    dispatcher.AddGuard(host_.TcpSegmentOut, installed[0],
-                        &TcpEndpoint::ConnGuard, &conn_);
+        host_.TcpSegmentOut, &TcpEndpoint::StackSegmentOut, this,
+        {.guards = {MakeGuard(&TcpEndpoint::ConnGuard, &conn_)},
+         .module = module.get(), .credentials = credentials});
     installed[1] = dispatcher.InstallHandler(
-        host_.TcpAckIn, &TcpEndpoint::StackAckIn, this, opts);
-    dispatcher.AddGuard(host_.TcpAckIn, installed[1],
-                        &TcpEndpoint::ConnGuardAck, &conn_);
+        host_.TcpAckIn, &TcpEndpoint::StackAckIn, this,
+        {.guards = {MakeGuard(&TcpEndpoint::ConnGuardAck, &conn_)},
+         .module = module.get(), .credentials = credentials});
     installed[2] = dispatcher.InstallHandler(
-        host_.TcpTimer, &TcpEndpoint::StackTimer, this, opts);
-    dispatcher.AddGuard(host_.TcpTimer, installed[2],
-                        &TcpEndpoint::ConnGuard, &conn_);
+        host_.TcpTimer, &TcpEndpoint::StackTimer, this,
+        {.guards = {MakeGuard(&TcpEndpoint::ConnGuard, &conn_)},
+         .module = module.get(), .credentials = credentials});
   } catch (const InstallError&) {
     // §2.5 denial (or any install failure): unwind whatever landed and
     // leave the incumbent stack bound — the connection never notices.
@@ -188,21 +183,22 @@ void TcpEndpoint::RaiseSegmentOut() {
   host_.TcpSegmentOut.Raise(&conn_);
 }
 
+// The stack handlers need not check the connection: each was installed
+// together with its ConnGuard, so it never runs for another one.
 void TcpEndpoint::StackSegmentOut(TcpEndpoint* ep, TcpConn* conn) {
-  if (ep->stack_ != nullptr && conn == &ep->conn_) {
+  if (ep->stack_ != nullptr) {
     ep->stack_->OnSendReady(*conn);
   }
 }
 
 void TcpEndpoint::StackAckIn(TcpEndpoint* ep, TcpConn* conn, uint64_t ack) {
-  if (ep->stack_ != nullptr && conn == &ep->conn_) {
+  if (ep->stack_ != nullptr) {
     ep->stack_->OnAck(*conn, static_cast<uint32_t>(ack));
   }
 }
 
 void TcpEndpoint::StackTimer(TcpEndpoint* ep, TcpConn* conn) {
-  if (ep->stack_ != nullptr && conn == &ep->conn_ &&
-      conn->sim != nullptr) {
+  if (ep->stack_ != nullptr && conn->sim != nullptr) {
     ep->stack_->OnTimer(*conn, conn->sim->now_ns());
   }
 }

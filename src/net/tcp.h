@@ -98,7 +98,8 @@ class TcpEndpoint : private TcpStackDriver {
  private:
   static bool Input(TcpEndpoint* endpoint, Packet* packet);
 
-  // Stack-event handlers (installed per bound stack, guarded on conn_).
+  // Stack-event handlers, installed per bound stack together with their
+  // ConnGuard on conn_.
   static void StackSegmentOut(TcpEndpoint* endpoint, TcpConn* conn);
   static void StackAckIn(TcpEndpoint* endpoint, TcpConn* conn,
                          uint64_t ack);

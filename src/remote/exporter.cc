@@ -261,8 +261,13 @@ BindReplyMsg Exporter::Bind(const BindRequestMsg& request,
   auth.binding = client.binding.get();
   auth.requestor = client.module.get();
   auth.credentials = &info;
-  if (!entry.event->owner().Authorize(auth)) {
-    return deny("bind denied by authorizer for " + request.event_name);
+  try {
+    if (!entry.event->owner().Authorize(auth)) {
+      return deny("bind denied by authorizer for " + request.event_name);
+    }
+  } catch (const InstallError& e) {
+    // An imposed guard failed its admission check: the bind fails closed.
+    return deny(e.what());
   }
 
   // Serialize the imposed guards for proxy-side evaluation. A guard that
@@ -284,11 +289,9 @@ BindReplyMsg Exporter::Bind(const BindRequestMsg& request,
     // bind here with the precise refusal instead of shipping it.
     micro::VerifyResult v =
         micro::Verify(*guard.prog, micro::WireGuardLimits());
-    if (!guard.prog->functional() || !v.ok()) {
+    if (!v.ok()) {
       return deny("imposed guard is not wireable for " + request.event_name +
-                  (v.ok() ? std::string(" (not FUNCTIONAL)")
-                          : std::string(" (") +
-                                micro::VerifyStatusName(v.status) + ")"));
+                  " (" + micro::VerifyStatusName(v.status) + ")");
     }
     reply.guards.push_back(*guard.prog);
   }

@@ -56,19 +56,20 @@ EventProxy::EventProxy(net::Host& host, sim::Simulator* sim,
   // constructor and leaves no local binding behind.
   std::vector<micro::Program> imposed = BindHandshake();
 
+  // The exporter's imposed guards arrive with the binding, in its install.
   InstallOptions install;
   install.order = opts_.order;
   install.module = &module_;
   install.async = opts_.kind == RaiseKind::kAsync;
+  for (micro::Program& prog : imposed) {
+    install.guards.push_back(MakeImposedMicroGuard(std::move(prog)));
+    install.guards.back().mode = opts_.jit_guards
+                                     ? GuardCompileMode::kJit
+                                     : GuardCompileMode::kInterpret;
+  }
   binding_ = host_.dispatcher().InstallErasedHandler(event_, this,
                                                      &EventProxy::Invoke,
                                                      install);
-  for (micro::Program& prog : imposed) {
-    host_.dispatcher().ImposeMicroGuard(
-        binding_, std::move(prog),
-        opts_.jit_guards ? Dispatcher::GuardCompileMode::kJit
-                         : Dispatcher::GuardCompileMode::kInterpret);
-  }
   obs::RegisterSource(this, &EventProxy::ExportMetricsSource);
   obs::Watchdog::Global().RegisterProbe(this, &EventProxy::WatchdogProbeSource);
 }

@@ -13,10 +13,11 @@
 // host's default). The exporter runs the event's authorizer; a denial
 // throws RemoteError(kDenied) and installs nothing. A grant returns a
 // capability token — stamped on every subsequent raise — plus any
-// authorizer-imposed guards, serialized as micro-programs. The proxy
-// installs those on its local binding (ImposeMicroGuard), so a raise the
-// imposed guard rejects is skipped locally, before marshaling: the same
-// observable behavior as a guarded local binding, minus the roundtrip.
+// authorizer-imposed guards, serialized as micro-programs. The proxy's
+// local binding is installed with those guards (InstallOptions::guards),
+// so a raise the imposed guard rejects is skipped locally, before
+// marshaling: the same observable behavior as a guarded local binding,
+// minus the roundtrip.
 // The exporter re-evaluates the guards anyway — proxy-side evaluation is
 // an optimization, exporter-side evaluation is the trust boundary.
 //

@@ -39,6 +39,7 @@ struct AuthState {
   SpaceClosure closure{7};
   int install_requests = 0;
   int uninstall_requests = 0;
+  size_t guards_seen = 0;  // on the candidate binding, at kInstall
 };
 
 bool SyscallAuthorizer(AuthRequest& request, void* ctx) {
@@ -49,6 +50,7 @@ bool SyscallAuthorizer(AuthRequest& request, void* ctx) {
   switch (request.op) {
     case AuthOp::kInstall:
       ++state->install_requests;
+      state->guards_seen = request.binding->guard_count();
       request.ImposeGuard(
           MakeImposedGuard(&ImposedSpaceGuard, &state->closure));
       return true;
@@ -106,6 +108,32 @@ TEST_F(AccessTest, AuthorizerImposesGuardOnInstall) {
       << "foreign address space must be filtered by the imposed guard";
 }
 
+bool PositiveStrand(int64_t strand, SyscallState&) { return strand > 0; }
+
+TEST_F(AccessTest, GuardedInstallIsOneAuthorizationAndOneRebuild) {
+  Event<void(int64_t, SyscallState&)> event("MachineTrap.Syscall",
+                                            &machine_trap_, nullptr,
+                                            &dispatcher_);
+  AuthState auth;
+  dispatcher_.InstallAuthorizer(event, &SyscallAuthorizer, &auth,
+                                machine_trap_);
+  const uint64_t rebuilds = dispatcher_.stats().rebuilds;
+  auto binding = dispatcher_.InstallHandler(
+      event, &Handler,
+      {.guards = {MakeGuard(&PositiveStrand)}, .module = &extension_});
+  EXPECT_EQ(auth.install_requests, 1);
+  EXPECT_EQ(auth.guards_seen, 1u) << "the authorizer sees the guard";
+  EXPECT_EQ(dispatcher_.stats().rebuilds - rebuilds, 1u);
+  ASSERT_EQ(dispatcher_.GuardCount(binding), 2u);
+  EXPECT_TRUE((*binding->guards())[0].imposed) << "imposed guards go first";
+
+  SyscallState admitted{7, 0};
+  event.Raise(1, admitted);
+  EXPECT_EQ(admitted.handled_by, 1);
+  SyscallState negative_strand{7, 0};
+  EXPECT_THROW(event.Raise(-1, negative_strand), NoHandlerError);
+}
+
 TEST_F(AccessTest, AuthorizerDeniesUntrustedModule) {
   Event<void(int64_t, SyscallState&)> event("MachineTrap.Syscall",
                                             &machine_trap_, nullptr,
@@ -154,6 +182,96 @@ TEST_F(AccessTest, ImposedGuardAddedDynamically) {
   SyscallState allowed{9, 0};
   event.Raise(1, allowed);
   EXPECT_EQ(allowed.handled_by, 1);
+}
+
+// An authorizer's imposed guard passes the same admission check as every
+// other guard; one that fails it fails the install, which leaves nothing.
+bool WideImposedGuard(SpaceClosure* closure, int64_t, SyscallState& state,
+                      int64_t /*one too many*/) {
+  return state.space == closure->valid_space;
+}
+
+uint64_t g_guard_stores = 0;
+
+struct BadImposition {
+  enum Kind { kWideClosure, kImpureMicro, kBadRegister } kind;
+  SpaceClosure closure{7};
+};
+
+bool ImposeBadGuard(AuthRequest& request, void* ctx) {
+  auto* bad = static_cast<BadImposition*>(ctx);
+  if (request.op != AuthOp::kInstall) {
+    return true;
+  }
+  switch (bad->kind) {
+    case BadImposition::kWideClosure:
+      request.ImposeGuard(MakeImposedGuard(&WideImposedGuard, &bad->closure));
+      break;
+    case BadImposition::kImpureMicro:
+      // Counts its runs in a global, then admits: not FUNCTIONAL.
+      request.ImposeGuard(MakeImposedMicroGuard(
+          std::move(micro::ProgramBuilder(2, /*functional=*/false)
+                        .LoadGlobal(0, &g_guard_stores)
+                        .LoadImm(1, 1)
+                        .Add(0, 0, 1)
+                        .StoreGlobal(&g_guard_stores, 0)
+                        .RetImm(1))
+              .Build()));
+      break;
+    case BadImposition::kBadRegister:
+      request.ImposeGuard(MakeImposedMicroGuard(micro::Program(
+          {micro::Insn{micro::Op::kLoadImm, micro::kNumRegs, 0, 0, 1},
+           micro::Insn{micro::Op::kRet, 0, micro::kNumRegs, 0, 0}},
+          2, /*functional=*/true)));
+      break;
+  }
+  return true;
+}
+
+class ImposedGuardCheckTest : public AccessTest {
+ protected:
+  void ExpectInstallRefused(BadImposition::Kind kind, InstallStatus status,
+                            TypecheckStatus typecheck) {
+    Event<void(int64_t, SyscallState&)> event("MachineTrap.Syscall",
+                                              &machine_trap_, nullptr,
+                                              &dispatcher_);
+    BadImposition bad{kind};
+    dispatcher_.InstallAuthorizer(event, &ImposeBadGuard, &bad,
+                                  machine_trap_);
+    const size_t usage = dispatcher_.quota().Usage(&extension_);
+    try {
+      dispatcher_.InstallHandler(event, &Handler, {.module = &extension_});
+      FAIL() << "expected InstallError";
+    } catch (const InstallError& e) {
+      EXPECT_EQ(e.status(), status);
+      EXPECT_EQ(e.typecheck(), typecheck);
+    }
+    EXPECT_EQ(event.handler_count(), 0u);
+    EXPECT_EQ(dispatcher_.quota().Usage(&extension_), usage);
+    g_guard_stores = 0;
+    SyscallState state{7, 0};
+    EXPECT_THROW(event.Raise(1, state), NoHandlerError);
+    EXPECT_EQ(state.handled_by, 0);
+    EXPECT_EQ(g_guard_stores, 0u) << "no imposed program runs on a raise";
+  }
+};
+
+TEST_F(ImposedGuardCheckTest, ClosureGuardWithAnExtraParameterIsRefused) {
+  ExpectInstallRefused(BadImposition::kWideClosure,
+                       InstallStatus::kTypecheckFailed,
+                       TypecheckStatus::kArityMismatch);
+}
+
+TEST_F(ImposedGuardCheckTest, StoringMicroGuardIsRefused) {
+  ExpectInstallRefused(BadImposition::kImpureMicro,
+                       InstallStatus::kTypecheckFailed,
+                       TypecheckStatus::kGuardNotFunctional);
+}
+
+TEST_F(ImposedGuardCheckTest, MicroGuardWithABadRegisterIsRefused) {
+  ExpectInstallRefused(BadImposition::kBadRegister,
+                       InstallStatus::kInvalidMicroProgram,
+                       TypecheckStatus::kOk);
 }
 
 // --- Quotas (§2.6 "Too many handlers") ----------------------------------------
@@ -226,6 +344,42 @@ TEST_F(AccessTest, GuardAdditionsCountAgainstQuota) {
   EXPECT_LT(dispatcher.quota().Usage(&extension_), usage_before);
   EXPECT_NO_THROW(
       dispatcher.AddMicroGuard(binding, micro::GuardGlobalEq(&cell, 1)));
+}
+
+bool PassGuard(int64_t, int64_t) { return true; }
+
+TEST_F(AccessTest, GuardedInstallOverQuotaInstallsNothing) {
+  // The binding and its guards are charged once, together: a budget that
+  // holds the bare binding but not its guard refuses the whole install.
+  Dispatcher dispatcher;
+  Event<void(int64_t, int64_t)> event("Test.GuardedQuota", &machine_trap_,
+                                      nullptr, &dispatcher);
+  auto probe = dispatcher.InstallHandler(event, &Noop,
+                                         {.module = &extension_});
+  const size_t binding_bytes = dispatcher.quota().Usage(&extension_);
+  dispatcher.Uninstall(probe, &extension_);
+  dispatcher.quota().SetLimit(binding_bytes);
+  static uint64_t cell = 1;
+  for (bool micro_guard : {false, true}) {
+    SCOPED_TRACE(micro_guard ? "micro guard" : "native guard");
+    const uint64_t rebuilds = dispatcher.stats().rebuilds;
+    try {
+      dispatcher.InstallHandler(
+          event, &Noop,
+          {.guards = {micro_guard
+                          ? MakeMicroGuard(micro::GuardGlobalEq(&cell, 1))
+                          : MakeGuard(&PassGuard)},
+           .module = &extension_});
+      FAIL() << "expected InstallError";
+    } catch (const InstallError& e) {
+      EXPECT_EQ(e.status(), InstallStatus::kQuotaExceeded);
+    }
+    EXPECT_EQ(event.handler_count(), 0u);
+    EXPECT_EQ(dispatcher.quota().Usage(&extension_), 0u);
+    EXPECT_EQ(dispatcher.stats().rebuilds, rebuilds);
+  }
+  EXPECT_NO_THROW(
+      dispatcher.InstallHandler(event, &Noop, {.module = &extension_}));
 }
 
 TEST_F(AccessTest, RemoveGuardPastTheEndThrows) {

@@ -265,6 +265,60 @@ TEST(ConcurrencyTest, ConcurrentGuardChangesOnOneBindingKeepEveryGuard) {
   }
 }
 
+std::atomic<int> g_rejected_fired{0};
+
+int64_t RejectedHandler(int64_t a, int64_t) {
+  g_rejected_fired.fetch_add(1, std::memory_order_relaxed);
+  return a;
+}
+
+TEST(ConcurrencyTest, RaiserNeverSeesAGuardedInstallWithoutItsGuard) {
+  // One thread raises continuously while another installs and uninstalls
+  // a handler whose guard rejects every raise. The guard is part of the
+  // install, so no table generation holds the handler without it, and the
+  // handler never runs. (Installed and then guarded in a second step, the
+  // handler runs in the generation between the two.)
+  constexpr int kRounds = 2000;
+  for (bool micro_guard : {false, true}) {
+    SCOPED_TRACE(micro_guard ? "micro guard" : "closure guard");
+    g_rejected_fired = 0;
+    Module module("GuardedInstall");
+    Dispatcher dispatcher;
+    Event<int64_t(int64_t, int64_t)> event("GuardedInstall.Event", &module,
+                                           nullptr, &dispatcher);
+    // Always fires, so the raise never throws NoHandlerError.
+    dispatcher.InstallHandler(event, &AnchorHandler, {.module = &module});
+    GuardGate closed{2};  // every raise passes a == 1
+
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> raises{0};
+    std::thread raiser([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        (void)event.Raise(1, 2);
+        raises.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    while (raises.load() == 0) {
+      std::this_thread::yield();
+    }
+    for (int i = 0; i < kRounds; ++i) {
+      auto binding = dispatcher.InstallHandler(
+          event, &RejectedHandler,
+          {.guards = {micro_guard
+                          ? MakeMicroGuard(micro::ReturnConst(2, 0, true))
+                          : MakeGuard(&GateGuard, &closed)},
+           .module = &module});
+      dispatcher.Uninstall(binding, &module);
+    }
+    stop.store(true);
+    raiser.join();
+    EXPECT_GT(raises.load(), 0u);
+    EXPECT_EQ(g_rejected_fired.load(), 0)
+        << "a raise ran the handler without its guard";
+    dispatcher.epoch().Synchronize();
+  }
+}
+
 TEST(ConcurrencyTest, ConcurrentRaisesOnManyEvents) {
   Module module("Many");
   Dispatcher dispatcher;
@@ -320,7 +374,6 @@ TEST(ConcurrencyTest, LazyPromotionRacesRaises) {
   Dispatcher::Config config;
   config.allow_direct = false;
   config.lazy_compile = true;
-  config.lazy_promote_raises = 64;
   Dispatcher dispatcher(config);
   Event<int64_t(int64_t, int64_t)> event("LazyRace.Event", &module,
                                          nullptr, &dispatcher);
@@ -341,8 +394,8 @@ TEST(ConcurrencyTest, LazyPromotionRacesRaises) {
     t.join();
   }
   EXPECT_EQ(failures.load(), 0);
-  // 20000 raises against a threshold of 64: promotion certainly fired, and
-  // the first-promotion-wins rule kept it to one.
+  // 20000 raises against a threshold of kLazyPromoteRaises (64): promotion
+  // certainly fired, and the first-promotion-wins rule kept it to one.
   EXPECT_EQ(dispatcher.stats().lazy_promotions, 1u);
   dispatcher.epoch().Synchronize();
 }

@@ -200,23 +200,23 @@ TEST(LazyCompileTest, PromotesAfterThreshold) {
   Module module("Lazy");
   Dispatcher::Config config;
   config.lazy_compile = true;
-  config.lazy_promote_raises = 16;
   Dispatcher dispatcher(config);
   Event<void(int64_t)> event("Lazy.Event", &module, nullptr, &dispatcher);
+  constexpr int kThreshold = static_cast<int>(Dispatcher::kLazyPromoteRaises);
   dispatcher.InstallHandler(event, &TrueGuard, &NoopHandler,
                             {.module = &module});
   dispatcher.InstallHandler(event, &NoopHandler, {.module = &module});
 
   EXPECT_EQ(dispatcher.stats().stub_compiles, 0u)
       << "lazy mode must not compile at install time";
-  for (int i = 0; i < 15; ++i) {
+  for (int i = 0; i < kThreshold - 1; ++i) {
     event.Raise(i);
   }
   EXPECT_EQ(dispatcher.stats().lazy_promotions, 0u);
-  event.Raise(15);  // crosses the threshold
+  event.Raise(kThreshold - 1);  // crosses the threshold
   EXPECT_EQ(dispatcher.stats().lazy_promotions, 1u);
   EXPECT_GT(dispatcher.stats().stub_compiles, 0u);
-  event.Raise(16);  // dispatches through the compiled stub now
+  event.Raise(kThreshold);  // dispatches through the compiled stub now
 
   // Further installs on a hot event compile eagerly again.
   uint64_t compiles = dispatcher.stats().stub_compiles;

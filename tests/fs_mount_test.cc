@@ -127,6 +127,26 @@ TEST_F(MountTest, UnmountRestoresErrors) {
   EXPECT_EQ(vfs_.Open.Raise("/log/gone", 0), kErrNoEnt);
 }
 
+TEST_F(MountTest, MountThatCannotInstallLeavesNothingBehind) {
+  // Room for two of LogFs's five guarded bindings: the third install fails
+  // the quota. The constructor must take back the mount and the two
+  // bindings whose closure is the LogFs that never finished constructing.
+  const size_t per_binding = sizeof(Binding) + GuardClause{}.MemoryBytes();
+  dispatcher_.quota().SetLimit(per_binding * 5 / 2);
+  const size_t opens = vfs_.Open.handler_count();
+  const size_t reads = vfs_.Read.handler_count();
+  try {
+    LogFs logfs(vfs_, "/log/");
+    FAIL() << "expected InstallError";
+  } catch (const InstallError& e) {
+    EXPECT_EQ(e.status(), InstallStatus::kQuotaExceeded);
+  }
+  EXPECT_EQ(vfs_.Open.handler_count(), opens);
+  EXPECT_EQ(vfs_.Read.handler_count(), reads);
+  // Nothing claims /log/ any more: the base UFS answers and misses.
+  EXPECT_EQ(vfs_.Open.Raise("/log/x", 0), kErrNoEnt);
+}
+
 TEST_F(MountTest, ForeignFdRangeRejected) {
   LogFs logfs(vfs_, "/log/");
   char buf[8];

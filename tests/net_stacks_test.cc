@@ -276,6 +276,20 @@ TEST_F(StackWireTest, AuthorizerDeniesInstallOffTheAllowList) {
   EXPECT_GE(authorizer.granted(), 1u);
 }
 
+TEST_F(StackWireTest, StackHandlersInstallWithTheirGuardsInOneRebuild) {
+  // Each stack handler arrives with its connection guard: one rebuild per
+  // install, none for a separate guard step.
+  uint64_t rebuilds = dispatcher_.stats().rebuilds;
+  TcpEndpoint client(a_, 5555);
+  ASSERT_TRUE(client.UseStack(&sim_, "reno", kRto));
+  EXPECT_EQ(dispatcher_.stats().rebuilds - rebuilds, 4u)
+      << "the port-guarded input handler plus three stack handlers";
+  rebuilds = dispatcher_.stats().rebuilds;
+  ASSERT_TRUE(client.UseStack(&sim_, "rack_lite", kRto));
+  EXPECT_EQ(dispatcher_.stats().rebuilds - rebuilds, 6u)
+      << "three guarded installs plus three uninstalls of the old stack";
+}
+
 TEST_F(StackWireTest, UnknownStackNameRejectedWithoutSideEffects) {
   TcpEndpoint client(a_, 5555);
   ASSERT_TRUE(client.UseStack(&sim_, "reno", kRto));
