@@ -23,7 +23,12 @@
 // Full-grid rows also carry host_ns_per_frame: steady_clock time spent in
 // Fleet::Run (the simulated second, not set-up or teardown) divided by
 // the frames the wires carried. It is host-clock, so smoke rows never
-// carry it.
+// carry it. Each grid cell runs kRepeats times, each on a fresh
+// dispatcher: the row's host_ns_per_frame is the median of the runs, with
+// host_ns_per_frame_min and _max, and the bench exits non-zero if a
+// repeat's virtual-time report differs from the first run's. The traced
+// cell runs once.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -38,8 +43,15 @@
 
 namespace {
 
-std::string RunCell(const std::string& stack, double loss, bool smoke,
-                    uint32_t trace_sample_rate = 0) {
+constexpr int kRepeats = 3;
+
+struct Cell {
+  std::string report;            // ReportJson: virtual-time fields
+  double host_ns_per_frame = 0;  // Fleet::Run's host time per frame
+};
+
+Cell RunCell(const std::string& stack, double loss, bool smoke,
+             uint32_t trace_sample_rate = 0) {
   spin::Dispatcher dispatcher;
 
   spin::fleet::FleetOptions options;
@@ -56,15 +68,26 @@ std::string RunCell(const std::string& stack, double loss, bool smoke,
   spin::fleet::FleetReport report = fleet.Run();
   std::chrono::duration<double, std::nano> host =
       std::chrono::steady_clock::now() - start;
-  std::string row = spin::fleet::ReportJson(options, report);
-  if (!smoke && report.frames_offered != 0) {
-    row.pop_back();  // the closing brace
-    row += ", \"host_ns_per_frame\": " +
-           std::to_string(std::llround(
-               host.count() / static_cast<double>(report.frames_offered))) +
-           "}";
+  Cell cell;
+  cell.report = spin::fleet::ReportJson(options, report);
+  if (report.frames_offered != 0) {
+    cell.host_ns_per_frame =
+        host.count() / static_cast<double>(report.frames_offered);
   }
-  return row;
+  return cell;
+}
+
+// `report` with the median, min and max of `host_ns` appended.
+std::string WithHostTime(std::string report, std::vector<double> host_ns) {
+  std::sort(host_ns.begin(), host_ns.end());
+  auto field = [](const char* name, double ns) {
+    return std::string(", \"") + name +
+           "\": " + std::to_string(std::llround(ns));
+  };
+  report.pop_back();  // the closing brace
+  return report + field("host_ns_per_frame", host_ns[host_ns.size() / 2]) +
+         field("host_ns_per_frame_min", host_ns.front()) +
+         field("host_ns_per_frame_max", host_ns.back()) + "}";
 }
 
 }  // namespace
@@ -87,10 +110,27 @@ int main(int argc, char** argv) {
       smoke ? std::vector<double>{0.0, 0.05}
             : std::vector<double>{0.0, 0.01, 0.05};
 
+  int status = 0;
   std::vector<std::string> rows;
   for (const std::string& stack : stacks) {
     for (double loss : losses) {
-      std::string row = RunCell(stack, loss, smoke);
+      Cell cell = RunCell(stack, loss, smoke);
+      std::string row = cell.report;
+      if (!smoke) {
+        std::vector<double> host_ns = {cell.host_ns_per_frame};
+        for (int r = 1; r < kRepeats; ++r) {
+          Cell repeat = RunCell(stack, loss, smoke);
+          if (repeat.report != cell.report) {
+            std::fprintf(stderr,
+                         "%s at loss %g: repeat %d's virtual-time report "
+                         "differs from the first run's\n",
+                         stack.c_str(), loss, r + 1);
+            status = 1;
+          }
+          host_ns.push_back(repeat.host_ns_per_frame);
+        }
+        row = WithHostTime(row, host_ns);
+      }
       std::cout << row << "\n" << std::flush;
       rows.push_back(row);
     }
@@ -99,8 +139,9 @@ int main(int argc, char** argv) {
     // One traced cell for the full run: sampled tracing at 1-in-64 with
     // the phase self-time totals appended (phase_self_ns). Not part of
     // the smoke gate — the totals are host-clock, machine-dependent.
-    std::string row = RunCell("reno", 0.0, /*smoke=*/false,
-                              /*trace_sample_rate=*/64);
+    Cell cell = RunCell("reno", 0.0, /*smoke=*/false,
+                        /*trace_sample_rate=*/64);
+    std::string row = WithHostTime(cell.report, {cell.host_ns_per_frame});
     std::cout << row << "\n" << std::flush;
     rows.push_back(row);
   }
@@ -119,5 +160,5 @@ int main(int argc, char** argv) {
     }
     out << doc;
   }
-  return 0;
+  return status;
 }

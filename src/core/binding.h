@@ -180,6 +180,42 @@ class Binding {
   GuardList guards_;
 };
 
+// The one owner of an extension's bindings. Clear() and the destructor
+// uninstall the bindings still active, newest first, each through its own
+// event's dispatcher with the binding's owner module as requestor. If any
+// of them runs on a pool (an async binding, or any binding of an async
+// event), Clear() then waits out the raises that read a table from before
+// the uninstalls and drains that pool, so no queued body calls into the
+// owner afterwards. A set that holds such a binding must therefore never
+// be cleared from a task of the pool it drains, nor from inside a raise:
+// either would wait on itself.
+//
+// An owner declares its set after every member that its handlers, guards
+// and requestor modules use. Member destruction then uninstalls first, and
+// a constructor that throws part-way takes back what it installed. An
+// uninstall the event's authorizer refuses throws out of Clear(); out of
+// the destructor it ends the program, since the handlers would otherwise
+// outlive their owner.
+class BindingSet {
+ public:
+  BindingSet() = default;
+  ~BindingSet() { Clear(); }
+  BindingSet(BindingSet&& other) noexcept = default;
+  // Clears this set first, then takes `other`'s bindings.
+  BindingSet& operator=(BindingSet&& other);
+  BindingSet(const BindingSet&) = delete;
+  BindingSet& operator=(const BindingSet&) = delete;
+
+  void Add(BindingHandle binding) { bindings_.push_back(std::move(binding)); }
+  void Clear();
+
+  size_t size() const { return bindings_.size(); }
+  const BindingHandle& operator[](size_t i) const { return bindings_[i]; }
+
+ private:
+  std::vector<BindingHandle> bindings_;
+};
+
 }  // namespace spin
 
 #endif  // SRC_CORE_BINDING_H_

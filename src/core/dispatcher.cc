@@ -624,6 +624,39 @@ void Dispatcher::Uninstall(const BindingHandle& binding,
   RebuildLocked(event);
 }
 
+BindingSet& BindingSet::operator=(BindingSet&& other) {
+  if (this != &other) {
+    Clear();
+    bindings_.swap(other.bindings_);
+  }
+  return *this;
+}
+
+void BindingSet::Clear() {
+  std::vector<ThreadPool*> pools;
+  for (; !bindings_.empty(); bindings_.pop_back()) {
+    const BindingHandle& binding = bindings_.back();
+    if (!binding->active.load(std::memory_order_acquire)) {
+      continue;
+    }
+    Dispatcher& dispatcher = binding->event->owner();
+    if ((binding->async || binding->event->async_event()) &&
+        std::find(pools.begin(), pools.end(), &dispatcher.pool()) ==
+            pools.end()) {
+      pools.push_back(&dispatcher.pool());
+    }
+    dispatcher.Uninstall(binding, binding->owner);
+  }
+  if (!pools.empty()) {
+    // A raise that loaded a table from before the uninstalls may not have
+    // submitted its task yet; once the epoch moves past it, it has.
+    EpochDomain::Global().Synchronize();
+    for (ThreadPool* pool : pools) {
+      pool->Drain();
+    }
+  }
+}
+
 void Dispatcher::DeregisterIntrinsic(EventBase& event,
                                      const Module* requestor) {
   BindingHandle intrinsic;

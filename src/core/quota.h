@@ -44,10 +44,21 @@ class QuotaManager {
     return true;
   }
 
+  // An account whose usage returns to zero is erased, so a module that
+  // holds nothing leaves no series behind.
   void Release(const Module* module, size_t bytes) {
     std::lock_guard<Spinlock> lock(mu_);
-    size_t& used = usage_[Key(module)];
-    used = bytes > used ? 0 : used - bytes;
+    uint64_t key = Key(module);
+    auto it = usage_.find(key);
+    if (it == usage_.end()) {
+      return;
+    }
+    if (bytes < it->second) {
+      it->second -= bytes;
+    } else {
+      usage_.erase(it);
+      names_.erase(key);
+    }
   }
 
   size_t Usage(const Module* module) const {

@@ -6,16 +6,10 @@ namespace emul {
 MachEmulator::MachEmulator(Kernel& kernel) : kernel_(kernel) {
   // Figure 2's initialization block:
   //   Dispatcher.InstallHandler(MachineTrap.Syscall, SyscallGuard, Syscall)
-  binding_ = kernel_.dispatcher().InstallHandler(
+  binding_.Add(kernel_.dispatcher().InstallHandler(
       kernel_.MachineTrapSyscall, &MachEmulator::Syscall, this,
       {.guards = {MakeGuard(&MachEmulator::SyscallGuard, this)},
-       .module = &module_});
-}
-
-MachEmulator::~MachEmulator() {
-  if (binding_ != nullptr && binding_->active.load()) {
-    kernel_.dispatcher().Uninstall(binding_, &module_);
-  }
+       .module = &module_}));
 }
 
 void MachEmulator::AdoptTask(AddressSpace& space) {

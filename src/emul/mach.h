@@ -27,7 +27,6 @@ inline constexpr int64_t kMachTaskSelf = -28;
 class MachEmulator {
  public:
   explicit MachEmulator(Kernel& kernel);
-  ~MachEmulator();
 
   // Marks an address space as a Mach task (the SyscallGuard predicate).
   void AdoptTask(AddressSpace& space);
@@ -36,7 +35,6 @@ class MachEmulator {
 
   uint64_t handled() const { return handled_; }
   const Module& module() const { return module_; }
-  const BindingHandle& binding() const { return binding_; }
 
  private:
   // Figure 2's SyscallGuard / Syscall pair.
@@ -52,8 +50,8 @@ class MachEmulator {
   Kernel& kernel_;
   std::unordered_set<uint64_t> tasks_;
   std::unordered_map<uint64_t, uint64_t> brk_;  // per-space bump pointer
-  BindingHandle binding_;
   uint64_t handled_ = 0;
+  BindingSet binding_;  // last: uninstalls before what Syscall uses
 };
 
 }  // namespace emul

@@ -33,16 +33,10 @@ OsfEmulator::OsfEmulator(Kernel& kernel, fs::Vfs& vfs)
   // be harmless, so provide a no-op default.
   kernel_.dispatcher().InstallDefaultHandler(
       EventNotify, +[](Strand*) {}, {.module = &module_});
-  binding_ = kernel_.dispatcher().InstallHandler(
+  binding_.Add(kernel_.dispatcher().InstallHandler(
       kernel_.MachineTrapSyscall, &OsfEmulator::Syscall, this,
       {.guards = {MakeGuard(&OsfEmulator::SyscallGuard, this)},
-       .module = &module_});
-}
-
-OsfEmulator::~OsfEmulator() {
-  if (binding_ != nullptr && binding_->active.load()) {
-    kernel_.dispatcher().Uninstall(binding_, &module_);
-  }
+       .module = &module_}));
 }
 
 void OsfEmulator::AdoptTask(AddressSpace& space) { tasks_.insert(space.id()); }
@@ -105,29 +99,18 @@ SyscallTracer::SyscallTracer(Kernel& kernel, AddressSpace& traced)
     : RecordEvent("Tracer.Record", &module_, nullptr, &kernel.dispatcher()),
       kernel_(kernel),
       traced_space_(traced.id()) {
-  record_binding_ = kernel_.dispatcher().InstallHandler(
-      RecordEvent, &SyscallTracer::OnRecord, this, {.module = &module_});
+  bindings_.Add(kernel_.dispatcher().InstallHandler(
+      RecordEvent, &SyscallTracer::OnRecord, this, {.module = &module_}));
   kernel_.dispatcher().SetEventAsync(RecordEvent, true, &module_);
 
   // First-constrained so the trace observes the syscall number before any
   // emulator handler overwrites v0 with its result — the §2.3 ordering
   // rationale ("executed in an order that respects their dependencies").
-  hook_binding_ = kernel_.dispatcher().InstallHandler(
+  bindings_.Add(kernel_.dispatcher().InstallHandler(
       kernel_.MachineTrapSyscall, &SyscallTracer::Trace, this,
       {.order = {OrderKind::kFirst},
        .guards = {MakeGuard(&SyscallTracer::TraceGuard, this)},
-       .module = &module_});
-}
-
-SyscallTracer::~SyscallTracer() {
-  if (hook_binding_ != nullptr && hook_binding_->active.load()) {
-    kernel_.dispatcher().Uninstall(hook_binding_, &module_);
-  }
-  // Drain detached recordings before tearing down state they touch.
-  kernel_.dispatcher().pool().Drain();
-  if (record_binding_ != nullptr && record_binding_->active.load()) {
-    kernel_.dispatcher().Uninstall(record_binding_, &module_);
-  }
+       .module = &module_}));
 }
 
 bool SyscallTracer::TraceGuard(SyscallTracer* tracer, Strand* strand,

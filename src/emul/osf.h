@@ -50,7 +50,6 @@ class OsfNet {
 class OsfEmulator {
  public:
   OsfEmulator(Kernel& kernel, fs::Vfs& vfs);
-  ~OsfEmulator();
 
   // Raised by the select implementation (Table 3's Events.EventNotify).
   Event<void(Strand*)> EventNotify;
@@ -72,9 +71,9 @@ class OsfEmulator {
   Kernel& kernel_;
   fs::Vfs& vfs_;
   std::unordered_set<uint64_t> tasks_;
-  BindingHandle binding_;
   uint64_t handled_ = 0;
   uint64_t selects_ = 0;
+  BindingSet binding_;  // last: uninstalls before what Syscall uses
 };
 
 // A per-application asynchronous system-call tracer (§2.6: "our in-kernel
@@ -86,7 +85,6 @@ class OsfEmulator {
 class SyscallTracer {
  public:
   SyscallTracer(Kernel& kernel, AddressSpace& traced);
-  ~SyscallTracer();
 
   struct Record {
     uint64_t strand_id;
@@ -111,10 +109,11 @@ class SyscallTracer {
   Module module_{"SyscallTracer"};
   Kernel& kernel_;
   uint64_t traced_space_;
-  BindingHandle hook_binding_;
-  BindingHandle record_binding_;
   mutable Spinlock mu_;
   std::vector<Record> records_;
+  // Last: uninstalls the hook and the recorder, then drains the detached
+  // recordings, before the records they append to go.
+  BindingSet bindings_;
 };
 
 }  // namespace emul

@@ -29,13 +29,6 @@ Fleet::Fleet(Dispatcher* dispatcher, const FleetOptions& options)
 Fleet::~Fleet() {
   obs::UnregisterSource(this);
   obs::Registry::Global().Unregister(latency_.get());
-  // Endpoints go first (their destructors uninstall dispatcher bindings
-  // against live hosts); pending simulator closures are disarmed by the
-  // endpoints' alive tokens and simply never run.
-  for (auto& pair : pairs_) {
-    pair->conns.clear();
-    pair->compression.reset();
-  }
 }
 
 void Fleet::BuildPair(size_t index) {

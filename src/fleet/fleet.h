@@ -121,6 +121,9 @@ class Fleet {
     bool intact = true;
   };
 
+  // Destroyed in reverse: connections and compression uninstall their
+  // bindings while the hosts whose events hold them are still alive, and
+  // the endpoints' alive tokens disarm their pending simulator closures.
   struct Pair {
     std::unique_ptr<net::Host> client_host;
     std::unique_ptr<net::Host> server_host;

@@ -11,41 +11,27 @@ LogFs::LogFs(Vfs& vfs, std::string prefix)
     : vfs_(vfs),
       prefix_(std::move(prefix)),
       fd_base_(vfs.AllocateMountFdBase()) {
-  vfs_.RegisterMount(prefix_);
   Dispatcher& d = vfs_.dispatcher();
-  try {
-    bindings_.push_back(d.InstallHandler(
-        vfs_.Open, &LogFs::LogOpen, this,
-        {.guards = {MakeGuard(&LogFs::OpenGuard, this)}, .module = &module_}));
-    bindings_.push_back(d.InstallHandler(
-        vfs_.Read, &LogFs::LogRead, this,
-        {.guards = {MakeGuard(&LogFs::ReadGuard, this)}, .module = &module_}));
-    bindings_.push_back(d.InstallHandler(
-        vfs_.Write, &LogFs::LogWrite, this,
-        {.guards = {MakeGuard(&LogFs::WriteGuard, this)}, .module = &module_}));
-    bindings_.push_back(d.InstallHandler(
-        vfs_.CloseFd, &LogFs::LogClose, this,
-        {.guards = {MakeGuard(&LogFs::CloseGuard, this)}, .module = &module_}));
-    bindings_.push_back(d.InstallHandler(
-        vfs_.Remove, &LogFs::LogRemove, this,
-        {.guards = {MakeGuard(&LogFs::RemoveGuard, this)},
-         .module = &module_}));
-  } catch (...) {
-    Unmount();  // no destructor runs for a constructor that throws
-    throw;
-  }
+  bindings_.Add(d.InstallHandler(
+      vfs_.Open, &LogFs::LogOpen, this,
+      {.guards = {MakeGuard(&LogFs::OpenGuard, this)}, .module = &module_}));
+  bindings_.Add(d.InstallHandler(
+      vfs_.Read, &LogFs::LogRead, this,
+      {.guards = {MakeGuard(&LogFs::ReadGuard, this)}, .module = &module_}));
+  bindings_.Add(d.InstallHandler(
+      vfs_.Write, &LogFs::LogWrite, this,
+      {.guards = {MakeGuard(&LogFs::WriteGuard, this)}, .module = &module_}));
+  bindings_.Add(d.InstallHandler(
+      vfs_.CloseFd, &LogFs::LogClose, this,
+      {.guards = {MakeGuard(&LogFs::CloseGuard, this)}, .module = &module_}));
+  bindings_.Add(d.InstallHandler(
+      vfs_.Remove, &LogFs::LogRemove, this,
+      {.guards = {MakeGuard(&LogFs::RemoveGuard, this)}, .module = &module_}));
+  // Mounted last: an install that throws leaves only bindings_ to undo.
+  vfs_.RegisterMount(prefix_);
 }
 
-LogFs::~LogFs() { Unmount(); }
-
-void LogFs::Unmount() {
-  vfs_.UnregisterMount(prefix_);
-  for (const BindingHandle& binding : bindings_) {
-    if (binding->active.load()) {
-      vfs_.dispatcher().Uninstall(binding, &module_);
-    }
-  }
-}
+LogFs::~LogFs() { vfs_.UnregisterMount(prefix_); }
 
 bool LogFs::UnderPrefix(const char* path) const {
   return std::string_view(path).substr(0, prefix_.size()) == prefix_;

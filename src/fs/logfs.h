@@ -68,8 +68,6 @@ class LogFs {
   static bool CloseGuard(LogFs* fs, int64_t fd);
   static bool RemoveGuard(LogFs* fs, const char* path);
 
-  // Unregisters the mount and uninstalls every binding installed so far.
-  void Unmount();
   bool UnderPrefix(const char* path) const;
   bool OwnsFd(int64_t fd) const {
     return fd >= fd_base_ && fd < fd_base_ + Vfs::kMountFdRange;
@@ -85,8 +83,8 @@ class LogFs {
   Module module_{"LogFs"};
   std::vector<Record> log_;
   std::vector<OpenFile> fds_;
-  std::vector<BindingHandle> bindings_;
   uint64_t compactions_ = 0;
+  BindingSet bindings_;  // last: uninstalls before what the handlers use
 };
 
 }  // namespace fs

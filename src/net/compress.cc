@@ -44,28 +44,18 @@ size_t RleDecompress(const uint8_t* in, size_t n, uint8_t* out, size_t cap) {
 
 CompressionExtension::CompressionExtension(Host& sender, Host& receiver)
     : sender_(sender), receiver_(receiver) {
-  compress_binding_ = sender_.dispatcher().InstallHandler(
+  bindings_.Add(sender_.dispatcher().InstallHandler(
       sender_.EtherPacketSend, &CompressionExtension::Compress, this,
-      {.order = {OrderKind::kFirst}, .module = &module_});
+      {.order = {OrderKind::kFirst}, .module = &module_}));
   // Only marked frames reach the decompressor: an inlinable one-byte guard
   // on the TOS marker.
-  decompress_binding_ = receiver_.dispatcher().InstallHandler(
+  bindings_.Add(receiver_.dispatcher().InstallHandler(
       receiver_.EtherPacketArrived, &CompressionExtension::Decompress, this,
       {.order = {OrderKind::kFirst},
        .guards = {MakeMicroGuard(micro::GuardArgFieldEq(
            /*num_args=*/1, /*arg=*/0, kIpTosOff, /*width=*/1, ~0ull,
            kCompressedTos))},
-       .module = &module_});
-}
-
-CompressionExtension::~CompressionExtension() {
-  if (compress_binding_ != nullptr && compress_binding_->active.load()) {
-    sender_.dispatcher().Uninstall(compress_binding_, &module_);
-  }
-  if (decompress_binding_ != nullptr &&
-      decompress_binding_->active.load()) {
-    receiver_.dispatcher().Uninstall(decompress_binding_, &module_);
-  }
+       .module = &module_}));
 }
 
 namespace {

@@ -37,7 +37,6 @@ class CompressionExtension {
   // operate on the uncompressed byte stream, so the extension composes
   // in-path with any pluggable stack (src/net/stacks/).
   CompressionExtension(Host& sender, Host& receiver);
-  ~CompressionExtension();
   CompressionExtension(const CompressionExtension&) = delete;
   CompressionExtension& operator=(const CompressionExtension&) = delete;
 
@@ -52,11 +51,10 @@ class CompressionExtension {
   Module module_{"Compression"};
   Host& sender_;
   Host& receiver_;
-  BindingHandle compress_binding_;
-  BindingHandle decompress_binding_;
   uint64_t compressed_ = 0;
   uint64_t decompressed_ = 0;
   uint64_t bytes_saved_ = 0;
+  BindingSet bindings_;  // last: uninstalls before what the handlers use
 };
 
 }  // namespace net

@@ -255,16 +255,10 @@ void Host::Receive(Packet packet) {
 
 UdpSocket::UdpSocket(Host& host, uint16_t port, ReceiveFn on_receive)
     : host_(host), port_(port), on_receive_(std::move(on_receive)) {
-  binding_ = host_.dispatcher().InstallHandler(
+  binding_.Add(host_.dispatcher().InstallHandler(
       host_.UdpPacketArrived, &UdpSocket::Input, this,
       {.guards = {MakeMicroGuard(DstPortGuard(port_))},
-       .module = &host_.module()});
-}
-
-UdpSocket::~UdpSocket() {
-  if (binding_ != nullptr && binding_->active.load()) {
-    host_.dispatcher().Uninstall(binding_, &host_.module());
-  }
+       .module = &host_.module()}));
 }
 
 bool UdpSocket::Input(UdpSocket* socket, Packet* packet) {

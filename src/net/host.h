@@ -199,7 +199,6 @@ class UdpSocket {
   using ReceiveFn = std::function<void(const Packet&)>;
 
   UdpSocket(Host& host, uint16_t port, ReceiveFn on_receive);
-  ~UdpSocket();
   UdpSocket(const UdpSocket&) = delete;
   UdpSocket& operator=(const UdpSocket&) = delete;
 
@@ -208,7 +207,6 @@ class UdpSocket {
 
   uint16_t port() const { return port_; }
   uint64_t received() const { return received_; }
-  const BindingHandle& binding() const { return binding_; }
 
  private:
   static bool Input(UdpSocket* socket, Packet* packet);
@@ -216,8 +214,8 @@ class UdpSocket {
   Host& host_;
   uint16_t port_;
   ReceiveFn on_receive_;
-  BindingHandle binding_;
   uint64_t received_ = 0;
+  BindingSet binding_;  // last: uninstalls before what Input uses goes
 };
 
 }  // namespace net

@@ -27,21 +27,15 @@ TcpEndpoint::TcpEndpoint(Host& host, uint16_t local_port)
       alive_(std::make_shared<TcpEndpoint*>(this)) {
   conn_.id = g_next_conn_id.fetch_add(1);
   conn_.driver = this;
-  binding_ = host_.dispatcher().InstallHandler(
+  input_binding_.Add(host_.dispatcher().InstallHandler(
       host_.TcpPacketArrived, &TcpEndpoint::Input, this,
       {.guards = {MakeMicroGuard(micro::GuardArgFieldEq(
            /*num_args=*/1, /*arg=*/0, kDstPortOff, /*width=*/2, ~0ull,
            PortFieldValue(local_port_)))},
-       .module = &host_.module()});
+       .module = &host_.module()}));
 }
 
-TcpEndpoint::~TcpEndpoint() {
-  *alive_ = nullptr;
-  DropStackBindings();
-  if (binding_ != nullptr && binding_->active.load()) {
-    host_.dispatcher().Uninstall(binding_, &host_.module());
-  }
-}
+TcpEndpoint::~TcpEndpoint() { *alive_ = nullptr; }
 
 void TcpEndpoint::Listen(DataFn on_data) {
   on_data_ = std::move(on_data);
@@ -117,35 +111,29 @@ bool TcpEndpoint::UseStack(sim::Simulator* sim, const std::string& name,
   auto module = std::make_unique<Module>("TcpStack." + name + "#" +
                                          std::to_string(conn_.id));
   Dispatcher& dispatcher = host_.dispatcher();
-  BindingHandle installed[3];
+  BindingSet bindings;
   try {
-    installed[0] = dispatcher.InstallHandler(
+    bindings.Add(dispatcher.InstallHandler(
         host_.TcpSegmentOut, &TcpEndpoint::StackSegmentOut, this,
         {.guards = {MakeGuard(&TcpEndpoint::ConnGuard, &conn_)},
-         .module = module.get(), .credentials = credentials});
-    installed[1] = dispatcher.InstallHandler(
+         .module = module.get(), .credentials = credentials}));
+    bindings.Add(dispatcher.InstallHandler(
         host_.TcpAckIn, &TcpEndpoint::StackAckIn, this,
         {.guards = {MakeGuard(&TcpEndpoint::ConnGuardAck, &conn_)},
-         .module = module.get(), .credentials = credentials});
-    installed[2] = dispatcher.InstallHandler(
+         .module = module.get(), .credentials = credentials}));
+    bindings.Add(dispatcher.InstallHandler(
         host_.TcpTimer, &TcpEndpoint::StackTimer, this,
         {.guards = {MakeGuard(&TcpEndpoint::ConnGuard, &conn_)},
-         .module = module.get(), .credentials = credentials});
+         .module = module.get(), .credentials = credentials}));
   } catch (const InstallError&) {
-    // §2.5 denial (or any install failure): unwind whatever landed and
-    // leave the incumbent stack bound — the connection never notices.
-    for (BindingHandle& binding : installed) {
-      if (binding != nullptr && binding->active.load()) {
-        dispatcher.Uninstall(binding, module.get());
-      }
-    }
+    // §2.5 denial (or any install failure): `bindings` takes back whatever
+    // landed, and the incumbent stack stays bound — the connection never
+    // notices.
     return false;
   }
-  // The swap is committed: retire the outgoing stack's bindings.
-  DropStackBindings();
-  for (int i = 0; i < 3; ++i) {
-    stack_bindings_[i] = std::move(installed[i]);
-  }
+  // The swap is committed: the assignment retires the outgoing stack's
+  // bindings, under its still-live module, and keeps the successor's.
+  stack_bindings_ = std::move(bindings);
   stack_ = std::move(next);
   stack_module_ = std::move(module);
   stack_name_ = name;
@@ -164,19 +152,6 @@ bool TcpEndpoint::UseStack(sim::Simulator* sim, const std::string& name,
   }
   ScheduleTimer();
   return true;
-}
-
-void TcpEndpoint::DropStackBindings() {
-  Dispatcher& dispatcher = host_.dispatcher();
-  for (BindingHandle& binding : stack_bindings_) {
-    if (binding != nullptr && binding->active.load()) {
-      dispatcher.Uninstall(binding, stack_module_.get());
-    }
-    binding = nullptr;
-  }
-  stack_.reset();
-  stack_module_.reset();
-  stack_name_.clear();
 }
 
 void TcpEndpoint::RaiseSegmentOut() {

@@ -118,7 +118,6 @@ class TcpEndpoint : private TcpStackDriver {
   void RaiseSegmentOut();
   void ScheduleTimer();
   void TimerFired();
-  void DropStackBindings();
 
   Host& host_;
   uint16_t local_port_;
@@ -129,7 +128,6 @@ class TcpEndpoint : private TcpStackDriver {
   uint32_t rcv_next_ = 0;  // next sequence number expected
   uint32_t iss_ = 0;       // initial send sequence (handshake retransmit)
   DataFn on_data_;
-  BindingHandle binding_;
   uint64_t bytes_received_ = 0;
   uint64_t segments_sent_ = 0;
   uint64_t segments_received_ = 0;
@@ -140,7 +138,6 @@ class TcpEndpoint : private TcpStackDriver {
   std::unique_ptr<TcpStack> stack_;
   std::unique_ptr<Module> stack_module_;
   std::string stack_name_;
-  BindingHandle stack_bindings_[3];
 
   // Retransmission timer: one deadline in conn_, lazily reprogrammed
   // against the simulator. The alive token parries callbacks that
@@ -148,6 +145,12 @@ class TcpEndpoint : private TcpStackDriver {
   bool timer_pending_ = false;
   uint64_t timer_wake_ns_ = 0;
   std::shared_ptr<TcpEndpoint*> alive_;
+
+  // Last, so they uninstall before anything their handlers, guards and
+  // modules use: the port-guarded input handler, and the bound stack's
+  // three handlers (owned by stack_module_).
+  BindingSet input_binding_;
+  BindingSet stack_bindings_;
 };
 
 }  // namespace net

@@ -67,9 +67,8 @@ EventProxy::EventProxy(net::Host& host, sim::Simulator* sim,
                                      ? GuardCompileMode::kJit
                                      : GuardCompileMode::kInterpret;
   }
-  binding_ = host_.dispatcher().InstallErasedHandler(event_, this,
-                                                     &EventProxy::Invoke,
-                                                     install);
+  binding_.Add(host_.dispatcher().InstallErasedHandler(
+      event_, this, &EventProxy::Invoke, install));
   obs::RegisterSource(this, &EventProxy::ExportMetricsSource);
   obs::Watchdog::Global().RegisterProbe(this, &EventProxy::WatchdogProbeSource);
 }
@@ -77,9 +76,6 @@ EventProxy::EventProxy(net::Host& host, sim::Simulator* sim,
 EventProxy::~EventProxy() {
   obs::Watchdog::Global().UnregisterProbe(this);
   obs::UnregisterSource(this);
-  if (binding_ != nullptr && binding_->active.load()) {
-    host_.dispatcher().Uninstall(binding_, &module_);
-  }
 }
 
 std::vector<micro::Program> EventProxy::BindHandshake() {

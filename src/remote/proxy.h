@@ -128,7 +128,7 @@ class EventProxy {
   // Distribution of sync roundtrips in virtual (simulated) nanoseconds.
   const obs::Histogram& roundtrip_hist() const { return roundtrip_; }
 
-  const BindingHandle& binding() const { return binding_; }
+  const BindingHandle& binding() const { return binding_[0]; }
 
  private:
   static uint64_t Invoke(void* fn, void* closure, uint64_t* slots);
@@ -160,7 +160,6 @@ class EventProxy {
   MarshalPlan plan_;
   Module module_;
   std::unique_ptr<net::UdpSocket> socket_;
-  BindingHandle binding_;
   const char* obs_name_;  // interned event name for trace records
   const char* watch_name_;  // interned "proxy/<event>" for watchdog samples
 
@@ -194,6 +193,10 @@ class EventProxy {
   std::atomic<uint64_t> dead_raises_{0};
   std::atomic<uint64_t> revoke_notices_{0};
   obs::Histogram roundtrip_;
+
+  // Last: uninstalls before anything Invoke uses goes and, for an async
+  // proxy, waits until every queued marshal has run.
+  BindingSet binding_;
 };
 
 }  // namespace remote

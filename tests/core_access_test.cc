@@ -309,10 +309,22 @@ TEST_F(AccessTest, UninstallReleasesQuota) {
                                       &dispatcher);
   auto binding = dispatcher.InstallHandler(event, &Noop,
                                            {.module = &extension_});
+  // An account that returns to zero is erased, so a module that holds
+  // nothing (a swapped-out TCP stack's, say) exports no series.
+  auto listed = [&] {
+    for (const auto& [name, bytes] : dispatcher.quota().Snapshot()) {
+      if (name == extension_.name()) {
+        return true;
+      }
+    }
+    return false;
+  };
   size_t used = dispatcher.quota().Usage(&extension_);
   EXPECT_GT(used, 0u);
+  EXPECT_TRUE(listed());
   dispatcher.Uninstall(binding, &extension_);
   EXPECT_EQ(dispatcher.quota().Usage(&extension_), 0u);
+  EXPECT_FALSE(listed());
 }
 
 

@@ -465,5 +465,156 @@ TEST_F(AsyncTaskTest, TracedRaiseLinksOneHandoffPerHandler) {
   obs::FlightRecorder::Global().Reset();
 }
 
+// --- BindingSet: the one owner of an extension's bindings ---------------------
+
+// Every kUninstall an authorizer saw: which binding, asked by which module.
+struct UninstallLog {
+  std::vector<std::pair<const Binding*, const Module*>> requests;
+};
+
+bool LogUninstalls(AuthRequest& request, void* ctx) {
+  if (request.op == AuthOp::kUninstall) {
+    static_cast<UninstallLog*>(ctx)->requests.emplace_back(request.binding,
+                                                           request.requestor);
+  }
+  return true;
+}
+
+TEST_F(AsyncTaskTest, BindingSetClearsNewestFirstAsEachOwner) {
+  Module first{"Set.First"};
+  Module second{"Set.Second"};
+  Dispatcher other(OnPool(&pool_));
+  Event<void(int64_t, int64_t)> here("Set.Here", &module_, nullptr,
+                                     &dispatcher_);
+  Event<void(int64_t, int64_t)> there("Set.There", &module_, nullptr,
+                                      &other);
+  UninstallLog log;
+  dispatcher_.InstallAuthorizer(here, &LogUninstalls, &log, module_);
+  other.InstallAuthorizer(there, &LogUninstalls, &log, module_);
+  Body body{&trail_, 0};
+  BindingSet set;
+  set.Add(dispatcher_.InstallHandler(here, &RecordBody, &body,
+                                     {.module = &first}));
+  set.Add(other.InstallHandler(there, &RecordBody, &body,
+                               {.module = &second}));
+  set.Add(dispatcher_.InstallHandler(here, &RecordBody, &body,
+                                     {.module = &second}));
+  const std::vector<BindingHandle> held = {set[0], set[1], set[2]};
+  const uint64_t here_uninstalls = dispatcher_.stats().uninstalls;
+  const uint64_t there_uninstalls = other.stats().uninstalls;
+
+  set.Clear();
+  EXPECT_EQ(set.size(), 0u);
+  ASSERT_EQ(log.requests.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    const BindingHandle& expected = held[2 - i];
+    EXPECT_EQ(log.requests[i].first, expected.get()) << "newest first, " << i;
+    EXPECT_EQ(log.requests[i].second, expected->owner) << i;
+    EXPECT_FALSE(expected->active.load());
+  }
+  EXPECT_EQ(dispatcher_.stats().uninstalls - here_uninstalls, 2u);
+  EXPECT_EQ(other.stats().uninstalls - there_uninstalls, 1u)
+      << "each binding goes through its own event's dispatcher";
+  EXPECT_EQ(here.handler_count(), 0u);
+  EXPECT_EQ(there.handler_count(), 0u);
+}
+
+TEST_F(AsyncTaskTest, BindingSetSkipsBindingsUninstalledElsewhere) {
+  Event<void(int64_t, int64_t)> event("Set.Skip", &module_, nullptr,
+                                      &dispatcher_);
+  Body body{&trail_, 0};
+  BindingSet set;
+  for (int i = 0; i < 2; ++i) {
+    set.Add(dispatcher_.InstallHandler(event, &RecordBody, &body,
+                                       {.module = &module_}));
+  }
+  dispatcher_.Uninstall(set[0], &module_);
+  const uint64_t uninstalls = dispatcher_.stats().uninstalls;
+  EXPECT_NO_THROW(set.Clear());
+  EXPECT_EQ(dispatcher_.stats().uninstalls - uninstalls, 1u);
+  EXPECT_EQ(event.handler_count(), 0u);
+}
+
+TEST_F(AsyncTaskTest, BindingSetMoveAssignmentClearsTheOldSetFirst) {
+  Module outgoing{"Set.Outgoing"};
+  Module incoming{"Set.Incoming"};
+  Event<void(int64_t, int64_t)> event("Set.Move", &module_, nullptr,
+                                      &dispatcher_);
+  UninstallLog log;
+  dispatcher_.InstallAuthorizer(event, &LogUninstalls, &log, module_);
+  Body body{&trail_, 0};
+  BindingSet current;
+  current.Add(dispatcher_.InstallHandler(event, &RecordBody, &body,
+                                         {.module = &outgoing}));
+  BindingSet next;
+  next.Add(dispatcher_.InstallHandler(event, &RecordBody, &body,
+                                      {.module = &incoming}));
+  const BindingHandle old_binding = current[0];
+  const BindingHandle new_binding = next[0];
+
+  current = std::move(next);
+  ASSERT_EQ(log.requests.size(), 1u);
+  EXPECT_EQ(log.requests[0].first, old_binding.get());
+  EXPECT_EQ(log.requests[0].second, &outgoing);
+  EXPECT_FALSE(old_binding->active.load());
+  ASSERT_EQ(current.size(), 1u);
+  EXPECT_EQ(current[0], new_binding);
+  EXPECT_TRUE(new_binding->active.load());
+  EXPECT_EQ(event.handler_count(), 1u);
+
+  // A moved-from set owns nothing: clearing it uninstalls nothing.
+  BindingSet moved(std::move(current));
+  current.Clear();
+  EXPECT_TRUE(new_binding->active.load());
+  moved.Clear();
+  EXPECT_FALSE(new_binding->active.load());
+  EXPECT_EQ(event.handler_count(), 0u);
+}
+
+TEST_F(AsyncTaskTest, BindingSetClearWaitsForQueuedAsyncBodies) {
+  ThreadPool pool(1);
+  Dispatcher dispatcher(OnPool(&pool));
+  Event<void(int64_t, int64_t)> event("Set.Async", &module_, nullptr,
+                                      &dispatcher);
+  std::vector<Body> bodies(2);
+  BindingSet set;
+  for (int i = 0; i < 2; ++i) {
+    bodies[i] = {&trail_, i};
+    set.Add(dispatcher.InstallHandler(event, &RecordBody, &bodies[i],
+                                      {.async = true, .module = &module_}));
+  }
+  // Park the only worker so the raises' tasks stay queued.
+  std::atomic<bool> release{false};
+  pool.Submit([&release] {
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+  });
+  while (pool.queue_depth() != 0) {
+    std::this_thread::yield();  // the worker has taken the blocker
+  }
+  for (int r = 0; r < 3; ++r) {
+    event.Raise(r, r);
+  }
+  ASSERT_EQ(pool.queue_depth(), 3u);
+  // Clear() drains the pool, so the worker must be released from another
+  // thread while it waits.
+  std::thread releaser([&release] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    release = true;
+  });
+  set.Clear();
+  size_t ran = 0;
+  {
+    std::lock_guard<std::mutex> lock(trail_.mu);
+    ran = trail_.order.size();
+  }
+  releaser.join();
+  EXPECT_TRUE(release.load());
+  EXPECT_EQ(ran, 6u) << "every queued body ran before Clear() returned";
+  EXPECT_EQ(pool.pending(), 0u);
+  EXPECT_EQ(event.handler_count(), 0u);
+}
+
 }  // namespace
 }  // namespace spin

@@ -117,6 +117,35 @@ TEST_F(CompressTest, UninstallRestoresPlainTraffic) {
   EXPECT_GT(wire_.bytes_carried(), 500u) << "no compression after removal";
 }
 
+TEST_F(CompressTest, FailedConstructionLeavesNothingBehind) {
+  // Room for the bare compressor but not for the guarded decompressor as
+  // well: the second install fails the quota, and the constructor must take
+  // back the first, whose closure is the extension that never finished
+  // constructing.
+  const size_t limit = dispatcher_.quota().limit();
+  dispatcher_.quota().SetLimit(sizeof(Binding) * 3 / 2);
+  const size_t sends = a_.EtherPacketSend.handler_count();
+  try {
+    CompressionExtension compression(a_, b_);
+    FAIL() << "expected InstallError";
+  } catch (const InstallError& e) {
+    EXPECT_EQ(e.status(), InstallStatus::kQuotaExceeded);
+  }
+  EXPECT_EQ(a_.EtherPacketSend.handler_count(), sends);
+  dispatcher_.quota().SetLimit(limit);
+
+  // Nothing calls into the destroyed extension: traffic passes plain.
+  std::string received;
+  UdpSocket receiver(b_, 2222, [&](const Packet& packet) {
+    received = packet.UdpPayload();
+  });
+  UdpSocket sender(a_, 1111, nullptr);
+  std::string page(500, 'Z');
+  sender.SendTo(b_.ip(), 2222, page);
+  sim_.Run();
+  EXPECT_EQ(received, page);
+}
+
 TEST_F(CompressTest, TcpStreamCompressedTransparently) {
   CompressionExtension compression(a_, b_);
   TcpEndpoint server(b_, 80);

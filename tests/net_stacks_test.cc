@@ -290,6 +290,38 @@ TEST_F(StackWireTest, StackHandlersInstallWithTheirGuardsInOneRebuild) {
       << "three guarded installs plus three uninstalls of the old stack";
 }
 
+TEST_F(StackWireTest, SwapThatCannotInstallKeepsTheIncumbent) {
+  TcpEndpoint client(a_, 5555);
+  ASSERT_TRUE(client.UseStack(&sim_, "reno", kRto));
+  const size_t counts[3] = {a_.TcpSegmentOut.handler_count(),
+                            a_.TcpAckIn.handler_count(),
+                            a_.TcpTimer.handler_count()};
+  // Each stack's module is its own quota account. Room for one of the
+  // successor's guarded handlers, not two: its second install fails.
+  const size_t limit = dispatcher_.quota().limit();
+  const size_t per_binding = sizeof(Binding) + GuardClause{}.MemoryBytes();
+  dispatcher_.quota().SetLimit(per_binding * 3 / 2);
+  EXPECT_FALSE(client.UseStack(&sim_, "rack_lite", kRto));
+  EXPECT_EQ(client.stack_name(), "reno");
+  EXPECT_EQ(a_.TcpSegmentOut.handler_count(), counts[0]);
+  EXPECT_EQ(a_.TcpAckIn.handler_count(), counts[1]);
+  EXPECT_EQ(a_.TcpTimer.handler_count(), counts[2]);
+
+  // With room again the swap lands, and the only stack account left is
+  // the successor's: neither the refused module nor the retired one keeps
+  // an empty series.
+  dispatcher_.quota().SetLimit(limit);
+  ASSERT_TRUE(client.UseStack(&sim_, "rack_lite", kRto));
+  std::vector<std::string> stack_accounts;
+  for (const auto& [name, used] : dispatcher_.quota().Snapshot()) {
+    if (name.rfind("TcpStack.", 0) == 0) {
+      stack_accounts.push_back(name);
+    }
+  }
+  ASSERT_EQ(stack_accounts.size(), 1u);
+  EXPECT_EQ(stack_accounts[0].rfind("TcpStack.rack_lite#", 0), 0u);
+}
+
 TEST_F(StackWireTest, UnknownStackNameRejectedWithoutSideEffects) {
   TcpEndpoint client(a_, 5555);
   ASSERT_TRUE(client.UseStack(&sim_, "reno", kRto));

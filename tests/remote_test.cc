@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 
 #include "src/net/host.h"
@@ -476,6 +478,71 @@ TEST_F(RemoteTest, AsyncRaisesAreFireAndForget) {
   EXPECT_EQ(exporter_.binds(), 1u);
   // Fire-and-forget: the exporter never replied to a raise.
   EXPECT_EQ(client_host_.rx_packets(), rx_after_bind);
+}
+
+TEST(RemoteAsyncTeardown, DestroyedProxyWaitsForItsQueuedMarshals) {
+  // An async proxy's marshals run on pool workers. Destroying the proxy
+  // while its raises wait behind busy workers must not leave them to call
+  // into the freed proxy: the destructor returns once they have run.
+  ThreadPool pool(2);
+  Dispatcher::Config config;
+  config.pool = &pool;
+  Dispatcher dispatcher(config);
+  sim::Simulator sim;
+  net::Wire wire{&sim, sim::LinkModel{}};
+  net::Host client_host{"client", 0x0a000001, &dispatcher};
+  net::Host server_host{"server", 0x0a000002, &dispatcher};
+  wire.Attach(client_host, server_host);
+  Exporter exporter{server_host};
+  Event<void(uint64_t)> server_ev("Async.Teardown", nullptr, nullptr,
+                                  &dispatcher);
+  SumCtx ctx;
+  dispatcher.InstallHandler(server_ev, &SumHandler, &ctx);
+  exporter.Export(server_ev);
+  Event<void(uint64_t)> client_ev("Async.Teardown", nullptr, nullptr,
+                                  &dispatcher);
+
+  std::atomic<int> parked{0};
+  std::atomic<bool> release{false};
+  std::thread releaser;
+  size_t queued = 0;
+  {
+    ProxyOptions opts;
+    opts.remote_ip = server_host.ip();
+    opts.local_port = 9011;
+    opts.kind = RaiseKind::kAsync;
+    EventProxy proxy(client_host, &sim, client_ev, opts);
+    // Park both workers, so every marshal stays queued.
+    for (int w = 0; w < 2; ++w) {
+      pool.Submit([&parked, &release] {
+        ++parked;
+        while (!release.load()) {
+          std::this_thread::yield();
+        }
+      });
+    }
+    while (parked.load() != 2) {
+      std::this_thread::yield();
+    }
+    for (uint64_t i = 1; i <= 5; ++i) {
+      client_ev.Raise(i);
+    }
+    queued = pool.queue_depth();
+    // The destructor drains the pool, so the workers are released from
+    // another thread while it waits.
+    releaser = std::thread([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      release = true;
+    });
+  }
+  const bool released = release.load();
+  const size_t pending = pool.pending();
+  releaser.join();
+  pool.Drain();
+  EXPECT_EQ(queued, 5u);
+  EXPECT_TRUE(released) << "the destructor returned with marshals queued";
+  EXPECT_EQ(pending, 0u);
+  EXPECT_EQ(client_ev.handler_count(), 0u);
 }
 
 // --- Ordering across local handlers and the proxy (§2.3) ---------------------
