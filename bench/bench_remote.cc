@@ -40,7 +40,10 @@ struct Rig {
   spin::net::Host server{"server", 0x0a000002, &dispatcher};
   spin::remote::Exporter exporter{server};
 
-  Rig() { wire.Attach(client, server); }
+  explicit Rig(const spin::Dispatcher::Config& config = {})
+      : dispatcher(config) {
+    wire.Attach(client, server);
+  }
 
   spin::remote::ProxyOptions Opts(uint16_t local_port) {
     spin::remote::ProxyOptions opts;
@@ -322,7 +325,7 @@ bool BenchAuthorizer(spin::AuthRequest& request, void*) {
 // A wireable imposed guard that REJECTS the bench payload: admit only
 // raises whose first argument equals a magic value the bench never sends.
 // FUNCTIONAL and address-free, so it survives the wire admission verifier
-// and compiles through the guard JIT on the receiving side.
+// on the receiving side.
 spin::micro::Program RejectingGuard() {
   return std::move(
              spin::micro::ProgramBuilder(/*num_args=*/2, /*functional=*/true)
@@ -345,19 +348,25 @@ struct GuardRejectResult {
   uint64_t wire_ns;         // virtual time consumed by the raise loop
 };
 
+// A dispatcher with runtime code generation on or off.
+spin::Dispatcher::Config JitConfig(bool jit) {
+  spin::Dispatcher::Config config;
+  config.enable_jit = jit;
+  return config;
+}
+
 // Per-raise cost of a REJECTING guard on a plain local binding: the
 // dispatcher evaluates the guard, skips the guarded handler, and the
-// event's default implementation (§2.3) answers instead. With kJit the
-// guard runs through the verified-JIT fast path; with kInterpret it
-// takes the portable interpreter (the nojit oracle).
-GuardRejectResult GuardRejectLocal(int rounds,
-                                   spin::Dispatcher::GuardCompileMode mode) {
-  spin::Dispatcher dispatcher;
+// event's default implementation (§2.3) answers instead. On a JIT
+// dispatcher the guard is inlined into the event's stub; without one it
+// is interpreted.
+GuardRejectResult GuardRejectLocal(int rounds, bool jit) {
+  spin::Dispatcher dispatcher(JitConfig(jit));
   spin::Event<uint64_t(uint64_t, uint64_t)> ev("Bench.GuardLocal", nullptr,
                                                nullptr, &dispatcher);
   dispatcher.InstallDefaultHandler(ev, &Sum2);
   spin::BindingHandle guarded = dispatcher.InstallHandler(ev, &Sum2);
-  dispatcher.AddMicroGuard(guarded, RejectingGuard(), mode);
+  dispatcher.AddMicroGuard(guarded, RejectingGuard());
 
   ev.Raise(1, 2);  // warmup (dispatch plan, guard body)
   std::vector<uint64_t> host_ns(rounds);
@@ -371,12 +380,13 @@ GuardRejectResult GuardRejectLocal(int rounds,
 
 // The same rejecting guard imposed ACROSS THE WIRE: the exporter's
 // authorizer ships it in the BindReply, the proxy's admission verifier
-// re-checks it, and (with jit_guards on) installs the compiled body on
-// the proxy binding. A rejected raise is then settled entirely on the
-// raising host — the guard fires before EventProxy::Invoke, so no
-// datagram leaves and wire_ns stays zero.
-GuardRejectResult GuardRejectRemote(int rounds, bool jit_guards) {
-  Rig rig;
+// re-checks it, and the proxy binding is installed with it. The proxy
+// binding is erased, so its event is interpreted on either dispatcher. A
+// rejected raise is settled entirely on the raising host — the guard
+// fires before EventProxy::Invoke, so no datagram leaves and wire_ns
+// stays zero.
+GuardRejectResult GuardRejectRemote(int rounds, bool jit) {
+  Rig rig(JitConfig(jit));
   spin::Module authority{"Bench.GuardAuthority"};
   spin::Event<uint64_t(uint64_t, uint64_t)> server_ev(
       "Bench.Guard", &authority, nullptr, &rig.dispatcher);
@@ -391,9 +401,8 @@ GuardRejectResult GuardRejectRemote(int rounds, bool jit_guards) {
   spin::Event<uint64_t(uint64_t, uint64_t)> client_ev(
       "Bench.Guard", nullptr, nullptr, &rig.dispatcher);
   rig.dispatcher.InstallDefaultHandler(client_ev, &Sum2);
-  spin::remote::ProxyOptions opts = rig.Opts(9104);
-  opts.jit_guards = jit_guards;
-  spin::remote::EventProxy proxy(rig.client, &rig.sim, client_ev, opts);
+  spin::remote::EventProxy proxy(rig.client, &rig.sim, client_ev,
+                                 rig.Opts(9104));
 
   client_ev.Raise(1, 2);  // warmup; already rejected locally
   uint64_t v0 = rig.sim.now_ns();
@@ -580,14 +589,13 @@ int main() {
               "against the proxy's whole raise stream\n\n");
 
   const int kGuardRounds = 2000;
-  GuardRejectResult g_local = GuardRejectLocal(
-      kGuardRounds, spin::Dispatcher::GuardCompileMode::kJit);
-  GuardRejectResult g_local_interp = GuardRejectLocal(
-      kGuardRounds, spin::Dispatcher::GuardCompileMode::kInterpret);
+  GuardRejectResult g_local = GuardRejectLocal(kGuardRounds, /*jit=*/true);
+  GuardRejectResult g_local_interp =
+      GuardRejectLocal(kGuardRounds, /*jit=*/false);
   GuardRejectResult g_remote_jit =
-      GuardRejectRemote(kGuardRounds, /*jit_guards=*/true);
+      GuardRejectRemote(kGuardRounds, /*jit=*/true);
   GuardRejectResult g_remote_interp =
-      GuardRejectRemote(kGuardRounds, /*jit_guards=*/false);
+      GuardRejectRemote(kGuardRounds, /*jit=*/false);
   std::printf("verified guard on the raise path (imposed guard REJECTS "
               "every raise; real ns per raise):\n");
   std::printf("%-28s %-12s %-12s %-12s %-14s\n", "case", "p50 (ns)",
@@ -600,10 +608,10 @@ int main() {
   };
   const NamedGuard guard_rows[] = {
       {"local guard (JIT)", "guard_reject_local", &g_local},
-      {"local guard (interp)", "guard_reject_local_interp",
+      {"local guard (no JIT)", "guard_reject_local_interp",
        &g_local_interp},
       {"remote imposed (JIT)", "guard_reject_remote_jit", &g_remote_jit},
-      {"remote imposed (interp)", "guard_reject_remote_interp",
+      {"remote imposed (no JIT)", "guard_reject_remote_interp",
        &g_remote_interp},
   };
   for (const NamedGuard& row : guard_rows) {
@@ -614,10 +622,10 @@ int main() {
                 static_cast<unsigned long long>(row.r->wire_ns));
   }
   Rule();
-  std::printf("expected shape: a wire-received guard that passed admission "
-              "costs the same as a\nlocal guard (target <=1.1x p50) — the "
-              "verifier runs once at bind, the JIT'd body\nruns per raise, "
-              "and a rejected raise sends zero datagrams (wire time 0)\n\n");
+  std::printf("expected shape: the verifier runs once at bind and the "
+              "imposed guard is interpreted\nper raise, as the erased proxy "
+              "binding is never stub-compiled; a rejected raise\nsends zero "
+              "datagrams (wire time 0)\n\n");
 
   SyncResult tr_off = SyncRoundtripTraced(kRounds, /*tracing=*/false);
   SyncResult tr_on = SyncRoundtripTraced(kRounds, /*tracing=*/true);

@@ -18,9 +18,11 @@
 //     no-handler/default-handler logic.
 //
 // CompileMicro compiles a single micro-program into a standalone native
-// procedure (args in registers, SysV). The dispatcher uses it to run micro
-// guards/handlers *out of line* — the "no inline" arm of Table 1 — and the
-// differential tests use it to check JIT == interpreter.
+// procedure (args in registers, SysV). The dispatcher calls it only for
+// stubs that call micro guards/handlers *out of line* — the "no inline"
+// arm of Table 1 — once per body, when the body is admitted; outside a
+// stub a micro body is interpreted. The differential tests use it to check
+// JIT == interpreter.
 #ifndef SRC_CODEGEN_STUB_COMPILER_H_
 #define SRC_CODEGEN_STUB_COMPILER_H_
 

@@ -66,22 +66,18 @@ struct HeldOrder {
   Order Get() const { return Order{kind, ref.lock()}; }
 };
 
-// How a micro-program guard clause executes on the raise path. kJit
-// compiles the program to a native procedure when it is admitted (falling
-// back to the interpreter when codegen is unavailable); kInterpret pins the
-// interpreted path — the nojit oracle and the ablation baseline.
-enum class GuardCompileMode : uint8_t { kJit, kInterpret };
-
+// A micro-program guard is inlined by a stub or interpreted; `compiled` is
+// set only on a dispatcher whose stubs call micro bodies out of line
+// (enable_jit without inline_micro).
 struct GuardClause {
   void* fn = nullptr;
   void* closure = nullptr;
   bool closure_form = false;
   bool imposed = false;  // imposed by the event's authority (§2.5)
-  GuardCompileMode mode = GuardCompileMode::kJit;  // micro guards
   GuardInvoker invoker = nullptr;            // native path
   const ProcSig* sig = nullptr;              // native path: declared type
   std::optional<micro::Program> prog;        // inlinable path
-  std::shared_ptr<codegen::CompiledMicro> compiled;  // out-of-line JIT body
+  std::shared_ptr<codegen::CompiledMicro> compiled;  // out-of-line stub call
 
   // Bytes the guard charges against its binding owner's quota.
   size_t MemoryBytes() const {
@@ -106,7 +102,8 @@ class Binding {
                 // closures and filters)
 
   // Handler body: a native procedure (fn + invoker), a micro-program, or
-  // both (prog preferred for inlining when present).
+  // both (prog preferred for inlining when present). A micro body is
+  // compiled (`compiled`) only for a stub that calls it out of line.
   void* fn = nullptr;
   void* closure = nullptr;
   bool closure_form = false;

@@ -226,48 +226,7 @@ bool EvalGuards(const GuardList& guards, int num_args, const uint64_t* slots) {
     bool pass;
     if (guard.prog) {
       MicroArgs args(slots, num_args, guard.closure_form, guard.closure);
-      if (guard.compiled != nullptr && args.count <= 6) {
-        // Install-time-compiled guard (the verify-then-JIT path for wire
-        // imposed guards): call the native body directly at its declared
-        // arity. The entry follows the SysV register convention.
-        void* entry = guard.compiled->entry();
-        const uint64_t* a = args.data;
-        uint64_t r;
-        switch (args.count) {
-          case 0:
-            r = reinterpret_cast<uint64_t (*)()>(entry)();
-            break;
-          case 1:
-            r = reinterpret_cast<uint64_t (*)(uint64_t)>(entry)(a[0]);
-            break;
-          case 2:
-            r = reinterpret_cast<uint64_t (*)(uint64_t, uint64_t)>(entry)(
-                a[0], a[1]);
-            break;
-          case 3:
-            r = reinterpret_cast<uint64_t (*)(uint64_t, uint64_t, uint64_t)>(
-                entry)(a[0], a[1], a[2]);
-            break;
-          case 4:
-            r = reinterpret_cast<uint64_t (*)(uint64_t, uint64_t, uint64_t,
-                                              uint64_t)>(entry)(a[0], a[1],
-                                                                a[2], a[3]);
-            break;
-          case 5:
-            r = reinterpret_cast<uint64_t (*)(uint64_t, uint64_t, uint64_t,
-                                              uint64_t, uint64_t)>(entry)(
-                a[0], a[1], a[2], a[3], a[4]);
-            break;
-          default:
-            r = reinterpret_cast<uint64_t (*)(uint64_t, uint64_t, uint64_t,
-                                              uint64_t, uint64_t, uint64_t)>(
-                entry)(a[0], a[1], a[2], a[3], a[4], a[5]);
-            break;
-        }
-        pass = r != 0;
-      } else {
-        pass = micro::Run(*guard.prog, args.data, args.count) != 0;
-      }
+      pass = micro::Run(*guard.prog, args.data, args.count) != 0;
     } else {
       SPIN_DCHECK(guard.invoker != nullptr);
       pass = guard.invoker(guard.fn, guard.closure, slots);

@@ -202,7 +202,6 @@ class EventBase {
   void* authorizer_ctx_ = nullptr;
   bool require_ephemeral_ = false;
   uint64_t ephemeral_budget_ns_ = 0;
-  bool force_interp_ = false;  // per-event JIT opt-out (ablations)
   uint32_t version_ = 0;
 
   // Raise-side statistics (updated for every timed raise and async body).
@@ -221,9 +220,9 @@ void ExecuteTable(EventBase& event, const DispatchTable& table,
                   RaiseFrame& frame, const obs::RaisePlan& plan);
 
 // Evaluates a guard list against the argument slots of an event with
-// `num_args` parameters; a null list admits. The interpreter and the async
-// scheduler pass a table entry's list, the remote exporter the imposed
-// guards of a bind.
+// `num_args` parameters; a null list admits. Micro guards are interpreted.
+// The interpreter and the async scheduler pass a table entry's list, the
+// remote exporter the imposed guards of a bind.
 bool EvalGuards(const GuardList& guards, int num_args, const uint64_t* slots);
 
 // Runs one binding's handler (interpreted path), honoring EPHEMERAL

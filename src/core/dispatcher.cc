@@ -46,25 +46,32 @@ void CheckMicroProgram(const EventBase& event, const micro::Program& prog,
   }
 }
 
-// Micro-program guards: FUNCTIONAL, valid and no wider than the event, then
-// compiled once so EvalGuards calls native code, unless the clause is
-// pinned to the interpreter (a null body, when codegen is unavailable,
-// falls back to it too).
-void CheckMicroGuard(const EventBase& event, GuardClause& guard) {
+// A micro body outside a stub is interpreted (micro::Run). It is compiled
+// once, when admitted, and only on a dispatcher whose stubs call it out of
+// line. A body that fails to compile stays null, and CallableJitable sends
+// its event to the interpreter.
+std::shared_ptr<codegen::CompiledMicro> CompileOutOfLineBody(
+    const Dispatcher::Config& config, const micro::Program& prog) {
+  if (!config.enable_jit || config.inline_micro) {
+    return nullptr;
+  }
+  return codegen::CompileMicro(prog, config.optimize);
+}
+
+// Micro-program guards: FUNCTIONAL, valid and no wider than the event.
+void CheckMicroGuard(const EventBase& event, const GuardClause& guard) {
   const micro::Program& prog = *guard.prog;
   if (!prog.functional()) {
     throw InstallError(TypecheckStatus::kGuardNotFunctional, event.name());
   }
   CheckMicroProgram(event, prog,
                     event.sig().params.size() + (guard.closure_form ? 1 : 0));
-  if (guard.mode == GuardCompileMode::kJit && guard.compiled == nullptr) {
-    guard.compiled = codegen::CompileMicro(prog);
-  }
 }
 
 void AdmitGuard(const EventBase& event, GuardClause& guard) {
   if (guard.prog.has_value()) {
     CheckMicroGuard(event, guard);
+    guard.compiled = CompileOutOfLineBody(event.owner().config(), *guard.prog);
   } else {
     CheckNativeGuard(event, guard);
   }
@@ -80,24 +87,6 @@ bool SigJitable(const ProcSig& sig) {
     }
   }
   return sig.result.cls != TypeClass::kFloat64;
-}
-
-// Whether a stub can reach `clause` only through an out-of-line JIT body
-// that has not been compiled yet: a micro-program that is not inlined and
-// has no native entry.
-template <typename Clause>
-bool NeedsCompiledBody(const Clause& clause, bool inline_micro) {
-  return !inline_micro && clause.fn == nullptr && clause.prog.has_value() &&
-         clause.compiled == nullptr;
-}
-
-// Compiles the body NeedsCompiledBody asks for (caller holds the dispatcher
-// mutex). A program that cannot be compiled leaves `compiled` null.
-template <typename Clause>
-void CompileBodyIfNeeded(Clause& clause, bool inline_micro) {
-  if (NeedsCompiledBody(clause, inline_micro)) {
-    clause.compiled = codegen::CompileMicro(*clause.prog);
-  }
 }
 
 // Whether one callable (handler or guard) can participate in a generated
@@ -214,7 +203,7 @@ void AuthRequest::ImposeGuard(GuardClause guard) {
   SPIN_ASSERT_MSG(op == AuthOp::kInstall && binding != nullptr,
                   "ImposeGuard is only valid while authorizing an install");
   guard.imposed = true;
-  AdmitGuard(*event, guard);  // compiles a micro guard for every evaluator
+  AdmitGuard(*event, guard);
   // The candidate binding is not yet visible to raises.
   binding->AddGuard(std::move(guard));
 }
@@ -434,6 +423,7 @@ BindingHandle Dispatcher::InstallMicroHandler(EventBase& event,
   CheckMicroProgram(event, prog, event.sig().params.size());
   auto binding = core_internal::MakeBinding(nullptr, nullptr, event.sig(),
                                             opts);
+  binding->compiled = CompileOutOfLineBody(config_, prog);
   binding->prog = std::move(prog);
   return Install(event, std::move(binding), opts);
 }
@@ -453,16 +443,13 @@ BindingHandle Dispatcher::InstallErasedHandler(EventBase& event, void* ctx,
 }
 
 void Dispatcher::AddMicroGuard(const BindingHandle& binding,
-                               micro::Program prog, GuardCompileMode mode) {
-  InsertGuard(binding, MakeMicroGuard(std::move(prog), mode));
+                               micro::Program prog) {
+  InsertGuard(binding, MakeMicroGuard(std::move(prog)));
 }
 
 void Dispatcher::ImposeMicroGuard(const BindingHandle& binding,
-                                  micro::Program prog,
-                                  GuardCompileMode mode) {
-  GuardClause guard = MakeImposedMicroGuard(std::move(prog));
-  guard.mode = mode;
-  InsertGuard(binding, std::move(guard));
+                                  micro::Program prog) {
+  InsertGuard(binding, MakeImposedMicroGuard(std::move(prog)));
 }
 
 void Dispatcher::RemoveGuard(const BindingHandle& binding, size_t index,
@@ -741,12 +728,6 @@ void Dispatcher::RequireEphemeralHandlers(EventBase& event,
   RebuildLocked(event);
 }
 
-void Dispatcher::SetForceInterp(EventBase& event, bool force) {
-  std::lock_guard<std::mutex> lock(mu_);
-  event.force_interp_ = force;
-  RebuildLocked(event);
-}
-
 void Dispatcher::SetTracing(const obs::TraceConfig& config) {
   // The mode is process-global (the flight recorder is shared);
   // trace_mode_ scopes the table rebuilds to this dispatcher's events.
@@ -823,57 +804,30 @@ void Dispatcher::RebuildLocked(EventBase& event) {
   // per-handler hooks, so a full-fidelity capture interprets instead.
   size_t num_args = event.sig().params.size();
   bool jitable = direct == nullptr && !full && config_.enable_jit &&
-                 !event.force_interp_ && codegen::CodegenAvailable() &&
-                 SigJitable(event.sig()) && table->custom_fold == nullptr &&
+                 codegen::CodegenAvailable() && SigJitable(event.sig()) &&
+                 table->custom_fold == nullptr &&
                  !table->sync_bindings.empty();
   // Incremental installation: defer compilation until the event is hot.
   if (jitable && config_.lazy_compile && !event.hot_) {
     table->lazy_pending = true;
     jitable = false;
   }
-  if (jitable) {
-    for (TableEntry& entry : table->sync_bindings) {
-      Binding& binding = *entry.binding;  // guarded by mu_
-      if (binding.ephemeral || binding.may_throw || binding.erased) {
-        jitable = false;
-        break;
-      }
-      // Compiled micro bodies are cached on the binding and its clauses.
-      CompileBodyIfNeeded(binding, config_.inline_micro);
-      if (!CallableJitable(binding, config_.inline_micro, num_args)) {
-        jitable = false;
-        break;
-      }
-      if (entry.guards == nullptr) {
-        continue;
-      }
-      // Published lists are immutable (older tables may still be reading
-      // them), so missing JIT bodies go into a new list that the binding
-      // and this table take. A list that needs no body (every list while
-      // micro guards are inlined) is used as it is.
-      if (std::any_of(entry.guards->begin(), entry.guards->end(),
-                      [&](const GuardClause& guard) {
-                        return NeedsCompiledBody(guard,
-                                                 config_.inline_micro);
-                      })) {
-        std::vector<GuardClause> guards = *entry.guards;
-        for (GuardClause& guard : guards) {
-          CompileBodyIfNeeded(guard, config_.inline_micro);
-        }
-        binding.SetGuards(std::move(guards));
-        entry.guards = binding.guards();
-      }
-      for (const GuardClause& guard : *entry.guards) {
-        if (!CallableJitable(guard, config_.inline_micro, num_args)) {
-          jitable = false;
-          break;
-        }
-      }
-      if (!jitable) {
-        break;
-      }
+  // Every micro body a stub calls out of line was compiled when admitted.
+  auto stub_can_run = [&](const TableEntry& entry) {
+    const Binding& binding = *entry.binding;
+    if (binding.ephemeral || binding.may_throw || binding.erased ||
+        !CallableJitable(binding, config_.inline_micro, num_args)) {
+      return false;
     }
-  }
+    return entry.guards == nullptr ||
+           std::all_of(entry.guards->begin(), entry.guards->end(),
+                       [&](const GuardClause& guard) {
+                         return CallableJitable(guard, config_.inline_micro,
+                                                num_args);
+                       });
+  };
+  jitable = jitable && std::all_of(table->sync_bindings.begin(),
+                                   table->sync_bindings.end(), stub_can_run);
   if (jitable) {
     codegen::StubSpec spec;
     spec.num_args = static_cast<int>(num_args);

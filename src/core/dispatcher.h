@@ -19,7 +19,9 @@
 //
 // Events with only their intrinsic handler dispatch as a plain indirect
 // call; richer events go through a runtime-generated stub (x86-64) or the
-// interpreter, all semantically equivalent.
+// interpreter, all semantically equivalent. A stub inlines micro guards
+// and handlers; everywhere else they are interpreted. Config::enable_jit
+// off generates no code at all.
 #ifndef SRC_CORE_DISPATCHER_H_
 #define SRC_CORE_DISPATCHER_H_
 
@@ -163,21 +165,14 @@ class Dispatcher {
   void AddGuard(Event<R(A...)>& event, const BindingHandle& binding,
                 bool (*guard)(C*, A...), C* closure);
 
-  using GuardCompileMode = spin::GuardCompileMode;
-
-  void AddMicroGuard(const BindingHandle& binding, micro::Program prog,
-                     GuardCompileMode mode = GuardCompileMode::kJit);
+  void AddMicroGuard(const BindingHandle& binding, micro::Program prog);
 
   // Authority-imposed micro-program guard — the wire-transportable form of
-  // ImposeGuard. Remote proxies install the guards an exporter-side
-  // authorizer imposed on their bind through this entry; like every §2.5
-  // imposition, the clause is marked imposed and evaluates before the
-  // installer's own guards. Guards that arrive over the wire must pass the
-  // micro::Verify admission check before they get here; installation then
-  // compiles them (kJit) so a verified remote guard costs the same per
-  // raise as a local one.
-  void ImposeMicroGuard(const BindingHandle& binding, micro::Program prog,
-                        GuardCompileMode mode = GuardCompileMode::kJit);
+  // ImposeGuard. Like every §2.5 imposition, the clause is marked imposed
+  // and evaluates before the installer's own guards. Guards that arrive
+  // over the wire pass the micro::Verify admission check at bind and ride
+  // in the proxy's install (InstallOptions::guards).
+  void ImposeMicroGuard(const BindingHandle& binding, micro::Program prog);
 
   // Removes one guard by position (§2.5: imposed guards "can be added and
   // removed dynamically"). Removing an imposed guard consults the event's
@@ -248,7 +243,6 @@ class Dispatcher {
                      const Module* requestor = nullptr);
   void RequireEphemeralHandlers(EventBase& event, uint64_t budget_ns,
                                 const Module* requestor = nullptr);
-  void SetForceInterp(EventBase& event, bool force);  // ablation toggle
   void DeregisterIntrinsic(EventBase& event,
                            const Module* requestor = nullptr);
 
@@ -491,11 +485,9 @@ GuardClause MakeGuard(bool (*guard)(C*, A...), C* closure) {
 }
 
 // Builds a micro-program guard clause for InstallOptions::guards.
-inline GuardClause MakeMicroGuard(
-    micro::Program prog, GuardCompileMode mode = GuardCompileMode::kJit) {
+inline GuardClause MakeMicroGuard(micro::Program prog) {
   GuardClause clause;
   clause.prog = std::move(prog);
-  clause.mode = mode;
   return clause;
 }
 

@@ -63,9 +63,6 @@ EventProxy::EventProxy(net::Host& host, sim::Simulator* sim,
   install.async = opts_.kind == RaiseKind::kAsync;
   for (micro::Program& prog : imposed) {
     install.guards.push_back(MakeImposedMicroGuard(std::move(prog)));
-    install.guards.back().mode = opts_.jit_guards
-                                     ? GuardCompileMode::kJit
-                                     : GuardCompileMode::kInterpret;
   }
   binding_.Add(host_.dispatcher().InstallErasedHandler(
       event_, this, &EventProxy::Invoke, install));

@@ -17,7 +17,8 @@
 // local binding is installed with those guards (InstallOptions::guards),
 // so a raise the imposed guard rejects is skipped locally, before
 // marshaling: the same observable behavior as a guarded local binding,
-// minus the roundtrip.
+// minus the roundtrip. The guards are verified once, at bind, and then
+// interpreted: the proxy binding is erased, so no stub ever runs them.
 // The exporter re-evaluates the guards anyway — proxy-side evaluation is
 // an optimization, exporter-side evaluation is the trust boundary.
 //
@@ -89,11 +90,6 @@ struct ProxyOptions {
   // (Host::SetCredential).
   std::string module_name;
   std::string credential;
-
-  // Compile verifier-admitted imposed guards to native stubs at install
-  // (the verify-then-JIT path). False keeps them interpreted — the nojit
-  // fallback and the differential/bench baseline.
-  bool jit_guards = true;
 };
 
 class EventProxy {

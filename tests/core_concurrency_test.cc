@@ -36,22 +36,32 @@ TEST(ConcurrencyTest, RaisesDuringInstallUninstallChurn) {
     // An anchor handler guarantees raises never see an empty table.
     dispatcher.InstallHandler(event, &AnchorHandler, {.module = &module});
 
+    constexpr int kRaisers = 4;
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> raises{0};
+    std::atomic<int> raising{0};  // raisers that have raised once
     g_sum = 0;
 
     std::vector<std::thread> raisers;
-    for (int t = 0; t < 4; ++t) {
+    for (int t = 0; t < kRaisers; ++t) {
       raisers.emplace_back([&] {
-        while (!stop.load(std::memory_order_relaxed)) {
+        for (bool first = true; !stop.load(std::memory_order_relaxed);
+             first = false) {
           int64_t r = event.Raise(1, 2);
-          ASSERT_EQ(r, 1);
           raises.fetch_add(1, std::memory_order_relaxed);
+          if (first) {
+            raising.fetch_add(1);
+          }
+          ASSERT_EQ(r, 1);
         }
       });
     }
 
     std::thread churner([&] {
+      // Churn only once every raiser is raising, so the two overlap.
+      while (raising.load() < kRaisers) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < 2000; ++i) {
         auto binding = dispatcher.InstallHandler(event, &TrueGuard,
                                                  &CountingHandler,

@@ -163,6 +163,56 @@ TEST_P(DispatchTest, MicroGuardAndMicroHandler) {
   EXPECT_EQ(counter, 1u);
 }
 
+// Admits raises whose first argument equals `value`.
+micro::Program FirstArgEq(uint64_t value) {
+  return std::move(micro::ProgramBuilder(/*num_args=*/2, /*functional=*/true)
+                       .LoadArg(0, 0)
+                       .LoadImm(1, value)
+                       .CmpEq(2, 0, 1)
+                       .Ret(2))
+      .Build();
+}
+
+TEST_P(DispatchTest, MicroBodiesAreCompiledOnlyForOutOfLineStubs) {
+  // A stub inlines micro guards and handlers, and the interpreter runs them
+  // with micro::Run, so only a stub that calls them out of line needs a
+  // compiled body. It is compiled when the guard or handler is admitted.
+  static uint64_t gate = 1;
+  static uint64_t counter = 0;
+  gate = 1;
+  counter = 0;
+  Reset();
+  Event<void(int64_t, int64_t)> event("Test.MicroBodies", &module_, nullptr,
+                                      &dispatcher_);
+  auto guarded = dispatcher_.InstallHandler(
+      event, &H1,
+      {.guards = {MakeMicroGuard(micro::GuardGlobalEq(&gate, 1))},
+       .module = &module_});
+  dispatcher_.AddMicroGuard(guarded, FirstArgEq(7));
+  auto counting = dispatcher_.InstallMicroHandler(
+      event, micro::IncrementGlobal(&counter, 2), {.module = &module_});
+
+  const bool out_of_line =
+      GetParam() == Engine::kJitNoInline && codegen::CodegenAvailable();
+  ASSERT_EQ(dispatcher_.GuardCount(guarded), 2u);
+  for (const GuardClause& guard : *guarded->guards()) {
+    EXPECT_EQ(guard.compiled != nullptr, out_of_line);
+  }
+  EXPECT_EQ(counting->compiled != nullptr, out_of_line);
+  if (out_of_line) {
+    EXPECT_NE(dispatcher_.Describe(event).find("generated stub"),
+              std::string::npos);
+  }
+
+  event.Raise(7, 0);
+  EXPECT_EQ(g_log.order, (std::vector<int>{1}));
+  event.Raise(8, 0);
+  gate = 0;
+  event.Raise(7, 0);
+  EXPECT_EQ(g_log.order, (std::vector<int>{1}));
+  EXPECT_EQ(counter, 3u);
+}
+
 TEST_P(DispatchTest, AddGuardAfterInstallRestrictsFurther) {
   // §2.1: "additional guards can be added to further restrict when the
   // handler can run."

@@ -111,9 +111,8 @@ Program RandomProgram(Rng& rng, int num_args) {
 
 uint64_t RunCompiled(const codegen::CompiledMicro& compiled,
                      const uint64_t* args, int num_args) {
-  // The EvalGuards calling idiom: zero-pad to 6 register arguments —
-  // CompileMicro spills only its declared arity, so the extra registers
-  // are ignored.
+  // Zero-pad to 6 register arguments: CompileMicro spills only its
+  // declared arity, so the extra registers are ignored.
   auto* fn = reinterpret_cast<uint64_t (*)(uint64_t, uint64_t, uint64_t,
                                            uint64_t, uint64_t, uint64_t)>(
       compiled.entry());
