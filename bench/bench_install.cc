@@ -43,9 +43,13 @@ double InstallNCumulativeUs(int n, int repeats, bool lazy = false) {
 // Steady-state cost of one install+uninstall pair with `population`
 // handlers already resident (each operation regenerates the event's
 // dispatch structures, so the pair's cost grows with the population).
+// Eager compilation, so each operation also compiles the event's stub, as
+// a change to a hot event does.
 spin::bench::LatencyStats InstallPairStats(int population) {
   spin::Module module("InstallBench");
-  spin::Dispatcher dispatcher;
+  spin::Dispatcher::Config config;
+  config.lazy_compile = false;
+  spin::Dispatcher dispatcher(config);
   spin::Event<void(int64_t)> event("Bench.Install", &module, nullptr,
                                    &dispatcher);
   std::vector<spin::BindingHandle> resident;

@@ -101,8 +101,12 @@ int main() {
               beta.UdpPacketArrived.handler_count(),
               beta.UdpPacketArrived.guard_count());
   spin::Dispatcher::Stats stats = dispatcher.stats();
-  std::printf("  dispatcher generated %llu specialized dispatch routines\n",
-              static_cast<unsigned long long>(stats.stub_compiles));
+  // Three packets make no event hot: each compiles its stub on its 64th
+  // raise (Config::lazy_compile).
+  std::printf("  dispatcher generated %llu specialized dispatch routines, "
+              "promoted %llu hot events\n",
+              static_cast<unsigned long long>(stats.stub_compiles),
+              static_cast<unsigned long long>(stats.lazy_promotions));
   std::printf("  wire carried %llu bytes in %llu virtual us\n",
               static_cast<unsigned long long>(wire.bytes_carried()),
               static_cast<unsigned long long>(sim.now_ns() / 1000));

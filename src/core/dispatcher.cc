@@ -97,8 +97,8 @@ bool CallableJitable(const Clause& clause, bool inline_micro,
   if (clause.closure_form && num_args > 5) {
     return false;
   }
-  bool has_prog = clause.prog.has_value() &&
-                  clause.prog->Validate() == micro::ValidateStatus::kOk;
+  // Every micro body was validated when admitted (AdmitGuard, Install).
+  const bool has_prog = clause.prog.has_value();
   return (inline_micro && has_prog) || clause.fn != nullptr ||
          (has_prog && clause.compiled != nullptr);
 }
@@ -358,6 +358,12 @@ BindingHandle Dispatcher::Install(EventBase& event,
     throw InstallError(InstallStatus::kAsyncByRef, event.name());
   }
   binding->sig.ephemeral = binding->ephemeral;
+  // A micro handler body is admitted like a micro guard: checked, and
+  // compiled if this dispatcher's stubs call it out of line.
+  if (binding->prog.has_value()) {
+    CheckMicroProgram(event, *binding->prog, event.sig().params.size());
+    binding->compiled = CompileOutOfLineBody(config_, *binding->prog);
+  }
   // The installer's guards are on the binding before the authorizer sees
   // it; they and any it imposes are charged and published with it.
   for (const GuardClause& clause : opts.guards) {
@@ -420,10 +426,8 @@ BindingHandle Dispatcher::InstallDefault(EventBase& event,
 BindingHandle Dispatcher::InstallMicroHandler(EventBase& event,
                                               micro::Program prog,
                                               const InstallOptions& opts) {
-  CheckMicroProgram(event, prog, event.sig().params.size());
   auto binding = core_internal::MakeBinding(nullptr, nullptr, event.sig(),
                                             opts);
-  binding->compiled = CompileOutOfLineBody(config_, prog);
   binding->prog = std::move(prog);
   return Install(event, std::move(binding), opts);
 }
@@ -807,11 +811,6 @@ void Dispatcher::RebuildLocked(EventBase& event) {
                  codegen::CodegenAvailable() && SigJitable(event.sig()) &&
                  table->custom_fold == nullptr &&
                  !table->sync_bindings.empty();
-  // Incremental installation: defer compilation until the event is hot.
-  if (jitable && config_.lazy_compile && !event.hot_) {
-    table->lazy_pending = true;
-    jitable = false;
-  }
   // Every micro body a stub calls out of line was compiled when admitted.
   auto stub_can_run = [&](const TableEntry& entry) {
     const Binding& binding = *entry.binding;
@@ -828,6 +827,13 @@ void Dispatcher::RebuildLocked(EventBase& event) {
   };
   jitable = jitable && std::all_of(table->sync_bindings.begin(),
                                    table->sync_bindings.end(), stub_can_run);
+  // Incremental installation: a table a stub could serve stays interpreted
+  // until the event is hot. One that no stub can serve is never lazy, so
+  // its raises do not count towards a promotion that would compile nothing.
+  if (jitable && config_.lazy_compile && !event.hot_) {
+    table->lazy_pending = true;
+    jitable = false;
+  }
   if (jitable) {
     codegen::StubSpec spec;
     spec.num_args = static_cast<int>(num_args);

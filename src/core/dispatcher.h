@@ -18,10 +18,11 @@
 // install is one authorization, one quota charge and one rebuild.
 //
 // Events with only their intrinsic handler dispatch as a plain indirect
-// call; richer events go through a runtime-generated stub (x86-64) or the
-// interpreter, all semantically equivalent. A stub inlines micro guards
-// and handlers; everywhere else they are interpreted. Config::enable_jit
-// off generates no code at all.
+// call; richer events go through the interpreter until they prove hot
+// (Config::lazy_compile), then through a runtime-generated stub (x86-64),
+// all semantically equivalent. A stub inlines micro guards and handlers;
+// everywhere else they are interpreted. Config::enable_jit off generates
+// no code at all.
 #ifndef SRC_CORE_DISPATCHER_H_
 #define SRC_CORE_DISPATCHER_H_
 
@@ -84,10 +85,13 @@ class Dispatcher {
     // constants, compile a binary-search dispatch instead of a linear
     // guard chain.
     bool guard_tree = false;
-    // Incremental installation (§3.1 future work, off by default): defer
-    // stub compilation until an event has been raised kLazyPromoteRaises
-    // times, making installs O(1) until the event proves hot.
-    bool lazy_compile = false;
+    // Incremental installation (§3.1 future work): an event's tables are
+    // interpreted until it has been raised kLazyPromoteRaises times; that
+    // raise compiles its stub, and from then on every change to the event
+    // compiles eagerly. Installs on an event that is never raised that
+    // often compile nothing. false is the evaluated system's eager mode,
+    // which compiles a stub for every table generation (ablation D5).
+    bool lazy_compile = true;
     AsyncMode async_mode = AsyncMode::kPooled;
     ThreadPool* pool = nullptr;        // default: ThreadPool::Global()
     size_t quota_bytes_per_module = 4u << 20;

@@ -1,11 +1,13 @@
 // Access control (§2.5), denial of service (§2.6), and quota tests.
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "src/core/dispatcher.h"
 #include "src/rt/clock.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace {
@@ -67,7 +69,7 @@ class AccessTest : public ::testing::Test {
   Module machine_trap_{"MachineTrap"};
   Module extension_{"MachEmulator"};
   Module evil_{"Evil"};
-  Dispatcher dispatcher_;
+  Dispatcher dispatcher_{EagerConfig()};
 };
 
 TEST_F(AccessTest, AuthorityProofRequiredForAuthorizer) {
@@ -274,6 +276,35 @@ TEST_F(ImposedGuardCheckTest, MicroGuardWithABadRegisterIsRefused) {
                        TypecheckStatus::kOk);
 }
 
+// A micro handler body passes its check on every install path: the typed
+// entry, and a binding built by hand and handed straight to Install.
+TEST_F(AccessTest, MicroHandlerBodyIsCheckedOnEveryInstallPath) {
+  Event<void(int64_t, int64_t)> event("Test.MicroHandler", &machine_trap_,
+                                      nullptr, &dispatcher_);
+  const micro::Program bad(
+      {micro::Insn{micro::Op::kLoadImm, micro::kNumRegs, 0, 0, 1},
+       micro::Insn{micro::Op::kRet, 0, micro::kNumRegs, 0, 0}},
+      2, /*functional=*/true);
+  auto expect_refused = [&](const std::function<void()>& install) {
+    try {
+      install();
+      FAIL() << "expected InstallError";
+    } catch (const InstallError& e) {
+      EXPECT_EQ(e.status(), InstallStatus::kInvalidMicroProgram);
+    }
+    EXPECT_EQ(event.handler_count(), 0u);
+  };
+  expect_refused([&] {
+    dispatcher_.InstallMicroHandler(event, bad, {.module = &extension_});
+  });
+  expect_refused([&] {
+    auto binding = std::make_shared<Binding>();
+    binding->sig = event.sig();
+    binding->prog = bad;
+    dispatcher_.Install(event, std::move(binding), {.module = &extension_});
+  });
+}
+
 // --- Quotas (§2.6 "Too many handlers") ----------------------------------------
 
 void Noop(int64_t, int64_t) {}
@@ -400,7 +431,7 @@ TEST_F(AccessTest, RemoveGuardPastTheEndThrows) {
   // install error that changes nothing, not end the process.
   Dispatcher::Config config;
   config.quota_bytes_per_module = 8192;
-  Dispatcher dispatcher(config);
+  Dispatcher dispatcher(EagerConfig(config));
   Event<void(int64_t, int64_t)> event("Test.RemoveGuard", &machine_trap_,
                                       nullptr, &dispatcher);
   auto binding = dispatcher.InstallHandler(event, &Noop,

@@ -15,6 +15,7 @@
 #include "src/obs/obs.h"
 #include "src/obs/trace.h"
 #include "src/rt/clock.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace {
@@ -38,7 +39,7 @@ class AsyncTest : public ::testing::Test {
     g_async_calls = 0;
   }
   Module module_{"AsyncTest"};
-  Dispatcher dispatcher_;
+  Dispatcher dispatcher_{EagerConfig()};
 };
 
 TEST_F(AsyncTest, AsyncHandlerRunsDetached) {
@@ -181,7 +182,7 @@ class AsyncTaskTest : public ::testing::Test {
   static Dispatcher::Config OnPool(ThreadPool* pool) {
     Dispatcher::Config config;
     config.pool = pool;
-    return config;
+    return EagerConfig(config);
   }
   Module module_{"AsyncTaskTest"};
   ThreadPool pool_{2};

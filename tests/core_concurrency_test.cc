@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/dispatcher.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace {
@@ -82,7 +83,7 @@ TEST(ConcurrencyTest, RaisesDuringInstallUninstallChurn) {
 
 TEST(ConcurrencyTest, GuardImpositionDuringRaises) {
   Module module("GuardChurn");
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Event<int64_t(int64_t, int64_t)> event("Churn.Guarded", &module, nullptr,
                                          &dispatcher);
   dispatcher.InstallHandler(event, &AnchorHandler, {.module = &module});
@@ -191,7 +192,7 @@ TEST(ConcurrencyTest, InFlightRaiseKeepsItsGenerationsGuards) {
     ThreadPool pool(2);
     Dispatcher::Config config;
     config.pool = &pool;
-    Dispatcher dispatcher(config);
+    Dispatcher dispatcher(EagerConfig(config));
     Event<int64_t(int64_t, int64_t)> event("InFlight.Event", &module,
                                            nullptr, &dispatcher);
     dispatcher.InstallHandler(event, &BlockingHandler, {.module = &module});
@@ -234,7 +235,7 @@ TEST(ConcurrencyTest, ConcurrentGuardChangesOnOneBindingKeepEveryGuard) {
     Module module("GuardRace");
     Dispatcher::Config config;
     config.enable_jit = jit;
-    Dispatcher dispatcher(config);
+    Dispatcher dispatcher(EagerConfig(config));
     Event<int64_t(int64_t, int64_t)> event("GuardRace.Event", &module,
                                            nullptr, &dispatcher);
     auto target = dispatcher.InstallHandler(event, &AnchorHandler,
@@ -359,7 +360,7 @@ TEST(ConcurrencyTest, ConcurrentRaisesOnManyEvents) {
 TEST(ConcurrencyTest, RaiseInsideHandlerNests) {
   // Handlers may raise events themselves; epoch guards must nest.
   Module module("Nest");
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Event<int64_t(int64_t, int64_t)> inner("Nest.Inner", &module,
                                          &AnchorHandler, &dispatcher);
   Event<int64_t(int64_t, int64_t)> outer("Nest.Outer", &module, nullptr,
@@ -408,6 +409,97 @@ TEST(ConcurrencyTest, LazyPromotionRacesRaises) {
   // certainly fired, and the first-promotion-wins rule kept it to one.
   EXPECT_EQ(dispatcher.stats().lazy_promotions, 1u);
   dispatcher.epoch().Synchronize();
+}
+
+thread_local int t_gated_fires = 0;
+int64_t GatedHandler(int64_t a, int64_t) {
+  ++t_gated_fires;
+  return a;
+}
+bool RejectAll(int64_t, int64_t) { return false; }
+
+TEST(ConcurrencyTest, PromotionRacesGuardedReconfiguration) {
+  // On the default configuration, raisers cross the promotion threshold
+  // while another thread uninstalls and reinstalls a guarded binding and
+  // adds and removes a reject-all guard on it. A promotion rebuilds from
+  // the bindings and guards current under the dispatcher's lock, so a
+  // raise that runs entirely while the reject-all guard is on never fires
+  // the handler, whichever table generation it reads, and exactly one
+  // promotion happens per event.
+  if (!codegen::CodegenAvailable()) {
+    GTEST_SKIP() << "lazy promotion needs the JIT";
+  }
+  constexpr int kTrials = 8;
+  constexpr int kRaisers = 3;
+  constexpr int kRoundsAfterPromotion = 16;
+  constexpr int kMaxRounds = 20000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    SCOPED_TRACE(trial);
+    Module module("PromoteRace");
+    Dispatcher dispatcher;
+    Event<int64_t(int64_t, int64_t)> event("PromoteRace.Event", &module,
+                                           nullptr, &dispatcher);
+    dispatcher.InstallHandler(event, &AnchorHandler, {.module = &module});
+
+    std::atomic<uint64_t> phase{0};  // odd while the reject-all guard is on
+    std::atomic<uint64_t> checked{0};  // raises run entirely in odd phases
+    std::atomic<int> violations{0};
+    std::atomic<int> failures{0};
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> raisers;
+    for (int t = 0; t < kRaisers; ++t) {
+      raisers.emplace_back([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+          const uint64_t before = phase.load(std::memory_order_acquire);
+          t_gated_fires = 0;
+          if (event.Raise(1, 2) != 1) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+          // The raise read a table published after `before` was: if the
+          // phase did not move, that table carries the reject-all guard.
+          if (phase.load(std::memory_order_acquire) == before &&
+              before % 2 == 1) {
+            checked.fetch_add(1, std::memory_order_relaxed);
+            if (t_gated_fires != 0) {
+              violations.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      });
+    }
+
+    int after_promotion = 0;
+    for (int round = 0;
+         round < kMaxRounds && after_promotion < kRoundsAfterPromotion;
+         ++round) {
+      BindingHandle binding = dispatcher.InstallHandler(
+          event, &TrueGuard, &GatedHandler, {.module = &module});
+      dispatcher.AddGuard(event, binding, &RejectAll);
+      phase.fetch_add(1);
+      // Hold the guard on until a raise has run under it (bounded).
+      const uint64_t target = checked.load() + 1;
+      for (int spin = 0; spin < 10000 && checked.load() < target; ++spin) {
+        std::this_thread::yield();
+      }
+      phase.fetch_add(1);
+      dispatcher.RemoveGuard(binding, 1, &module);
+      dispatcher.Uninstall(binding, &module);
+      if (dispatcher.stats().lazy_promotions > 0) {
+        ++after_promotion;
+      }
+    }
+    stop.store(true);
+    for (std::thread& t : raisers) {
+      t.join();
+    }
+    EXPECT_EQ(after_promotion, kRoundsAfterPromotion)
+        << "the raisers never crossed the promotion threshold";
+    EXPECT_EQ(dispatcher.stats().lazy_promotions, 1u);
+    EXPECT_GT(checked.load(), 0u);
+    EXPECT_EQ(violations.load(), 0);
+    EXPECT_EQ(failures.load(), 0);
+    dispatcher.epoch().Synchronize();
+  }
 }
 
 }  // namespace

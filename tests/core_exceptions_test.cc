@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/dispatcher.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace {
@@ -40,7 +41,8 @@ TEST(ExceptionTest, MayThrowForcesInterpretedDispatch) {
     GTEST_SKIP();
   }
   Module module("Throwing");
-  Dispatcher dispatcher;
+  // Eager: the two plain installs compile stubs, the may_throw one not.
+  Dispatcher dispatcher(EagerConfig());
   Event<void(int64_t)> event("Throw.Event", &module, nullptr, &dispatcher);
   dispatcher.InstallHandler(event, &QuietHandler, {.module = &module});
   dispatcher.InstallHandler(event, &QuietHandler, {.module = &module});
@@ -51,7 +53,7 @@ TEST(ExceptionTest, MayThrowForcesInterpretedDispatch) {
   std::string description = dispatcher.Describe(event);
   EXPECT_NE(description.find("interpreted"), std::string::npos)
       << description;
-  (void)before;
+  EXPECT_EQ(dispatcher.stats().stub_compiles, before);
 }
 
 TEST(ExceptionTest, ExceptionLeavesDispatcherConsistent) {
@@ -74,7 +76,8 @@ TEST(ExceptionTest, ExceptionLeavesDispatcherConsistent) {
 
 TEST(DescribeTest, ReportsDispatchKinds) {
   Module module("Desc");
-  Dispatcher dispatcher;
+  // Eager: the guarded install compiles a stub.
+  Dispatcher dispatcher(EagerConfig());
   Event<void(int64_t)> event("Desc.Event", &module, &QuietHandler,
                              &dispatcher);
   EXPECT_NE(dispatcher.Describe(event).find("direct call"),

@@ -3,10 +3,12 @@
 // guard removal, and authorizer-applied ordering constraints.
 #include <cstring>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/core/dispatcher.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace {
@@ -19,9 +21,12 @@ struct FakePacket {
 
 class TreeTest : public ::testing::Test {
  protected:
+  // Eager compilation: every table generation gets its stub, so a case
+  // that raises a few times still runs the decision tree.
   static Dispatcher::Config TreeConfig() {
     Dispatcher::Config config;
     config.guard_tree = true;
+    config.lazy_compile = false;
     return config;
   }
 
@@ -47,6 +52,7 @@ TEST_F(TreeTest, TreeDispatchMatchesLinearSemantics) {
   for (bool tree : {false, true}) {
     Dispatcher::Config config;
     config.guard_tree = tree;
+    config.lazy_compile = false;
     Dispatcher dispatcher(config);
     Event<void(FakePacket*)> event("Tree.Packet", &module_, nullptr,
                                    &dispatcher);
@@ -154,6 +160,7 @@ TEST_F(TreeTest, RandomizedTreeVsInterpreterDifferential) {
       Dispatcher::Config config;
       config.guard_tree = engine == 0;
       config.enable_jit = engine == 0;
+      config.lazy_compile = false;
       Dispatcher dispatcher(config);
       Event<void(FakePacket*)> event("Tree.Fuzz", &module_, nullptr,
                                      &dispatcher);
@@ -237,6 +244,119 @@ TEST(LazyCompileTest, ColdEventsNeverPayCompilation) {
   event.Raise(1);  // works fine interpreted
 }
 
+int64_t g_lazy_fires = 0;
+int64_t CountedAdd(int64_t a, int64_t b) {
+  ++g_lazy_fires;
+  return a + b;
+}
+bool EvenFirst(int64_t a, int64_t) { return a % 2 == 0; }
+
+TEST(LazyCompileTest, DefaultDispatcherCompilesOnceTheEventIsHot) {
+  if (!codegen::CodegenAvailable()) {
+    GTEST_SKIP() << "promotion compiles a stub";
+  }
+  Module module("LazyDefault");
+  Dispatcher dispatcher;
+  Event<int64_t(int64_t, int64_t)> event("LazyDefault.Event", &module,
+                                         nullptr, &dispatcher);
+  dispatcher.SetResultPolicy(event, ResultPolicy::kSum);
+  dispatcher.InstallHandler(event, &EvenFirst, &CountedAdd,
+                            {.module = &module});
+  dispatcher.InstallHandler(event, &CountedAdd, {.module = &module});
+  EXPECT_EQ(dispatcher.stats().stub_compiles, 0u)
+      << "the default dispatcher must not compile at install time";
+
+  // Both handlers fire for an even first argument, only the unguarded one
+  // for an odd one; the interpreter and the stub must agree on both.
+  auto raise_and_check = [&](int64_t a) {
+    g_lazy_fires = 0;
+    const int64_t fires = a % 2 == 0 ? 2 : 1;
+    EXPECT_EQ(event.Raise(a, 1), fires * (a + 1)) << "raise " << a;
+    EXPECT_EQ(g_lazy_fires, fires) << "raise " << a;
+  };
+  constexpr int64_t kThreshold = Dispatcher::kLazyPromoteRaises;
+  for (int64_t a = 1; a < kThreshold; ++a) {
+    raise_and_check(a);
+  }
+  EXPECT_NE(dispatcher.Describe(event).find(
+                "dispatch: interpreted (lazy, compile pending)"),
+            std::string::npos)
+      << dispatcher.Describe(event);
+  EXPECT_EQ(dispatcher.stats().lazy_promotions, 0u);
+  EXPECT_EQ(dispatcher.stats().stub_compiles, 0u);
+
+  raise_and_check(kThreshold);  // promotes
+  EXPECT_EQ(dispatcher.stats().lazy_promotions, 1u);
+  EXPECT_EQ(dispatcher.stats().stub_compiles, 1u);
+  EXPECT_NE(dispatcher.Describe(event).find("dispatch: generated stub"),
+            std::string::npos)
+      << dispatcher.Describe(event);
+  for (int64_t a = 1; a < kThreshold; ++a) {
+    raise_and_check(a);
+  }
+
+  // A change to the hot event compiles eagerly.
+  dispatcher.InstallHandler(event, &CountedAdd, {.module = &module});
+  EXPECT_EQ(dispatcher.stats().stub_compiles, 2u);
+  EXPECT_NE(dispatcher.Describe(event).find("dispatch: generated stub"),
+            std::string::npos)
+      << dispatcher.Describe(event);
+  g_lazy_fires = 0;
+  EXPECT_EQ(event.Raise(2, 1), 9);
+  EXPECT_EQ(g_lazy_fires, 3);
+  EXPECT_EQ(dispatcher.stats().lazy_promotions, 1u);
+}
+
+int g_never_lazy_calls = 0;
+void NeverLazyHandler(int64_t) { ++g_never_lazy_calls; }
+uint64_t NeverLazyInvoker(void*, void*, uint64_t*) {
+  ++g_never_lazy_calls;
+  return 0;
+}
+
+TEST(LazyCompileTest, TablesNoStubCanServeAreNeverLazy) {
+  // An erased handler, a may_throw handler and an EPHEMERAL one all keep
+  // their event interpreted. Such a table is not lazy: its raises count
+  // towards no promotion, and none of them rebuilds it.
+  if (!codegen::CodegenAvailable()) {
+    GTEST_SKIP() << "without a JIT no table is lazy";
+  }
+  Module module("Unstubbed");
+  Dispatcher::Config config;
+  config.lazy_compile = true;
+  Dispatcher dispatcher(config);
+  Event<void(int64_t)> erased("Unstubbed.Erased", &module, nullptr,
+                              &dispatcher);
+  Event<void(int64_t)> may_throw("Unstubbed.MayThrow", &module, nullptr,
+                                 &dispatcher);
+  Event<void(int64_t)> ephemeral("Unstubbed.Ephemeral", &module, nullptr,
+                                 &dispatcher);
+  dispatcher.InstallErasedHandler(erased, nullptr, &NeverLazyInvoker,
+                                  {.module = &module});
+  // Guarded, so that the plain call of the intrinsic bypass cannot take it.
+  dispatcher.InstallHandler(may_throw, &TrueGuard, &NeverLazyHandler,
+                            {.may_throw = true, .module = &module});
+  dispatcher.InstallHandler(ephemeral, &NeverLazyHandler,
+                            {.ephemeral = true, .module = &module});
+
+  g_never_lazy_calls = 0;
+  const Dispatcher::Stats before = dispatcher.stats();
+  for (Event<void(int64_t)>* event : {&erased, &may_throw, &ephemeral}) {
+    for (int i = 0; i < 200; ++i) {
+      event->Raise(i);
+    }
+    std::string description = dispatcher.Describe(*event);
+    EXPECT_NE(description.find("dispatch: interpreted"), std::string::npos)
+        << description;
+    EXPECT_EQ(description.find("lazy"), std::string::npos) << description;
+  }
+  const Dispatcher::Stats after = dispatcher.stats();
+  EXPECT_EQ(g_never_lazy_calls, 600);
+  EXPECT_EQ(after.lazy_promotions, 0u);
+  EXPECT_EQ(after.rebuilds, before.rebuilds);
+  EXPECT_EQ(after.stub_compiles, 0u);
+}
+
 // --- Dynamic guard removal ----------------------------------------------------
 
 int g_guarded_calls = 0;
@@ -245,7 +365,7 @@ bool FalseGuard(int64_t) { return false; }
 
 TEST(GuardRemovalTest, RemoveRestoresDelivery) {
   Module module("Remove");
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Event<void(int64_t)> event("Remove.Event", &module, nullptr, &dispatcher);
   g_guarded_calls = 0;
   auto binding = dispatcher.InstallHandler(event, &FalseGuard,
@@ -319,7 +439,7 @@ bool ForceLastAuthorizer(AuthRequest& request, void*) {
 TEST(AuthOrderTest, AuthorizerForcesOrdering) {
   Module authority("Authority");
   Module extension("Extension");
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Event<void(int64_t)> event("Order.Event", &authority, nullptr,
                              &dispatcher);
   dispatcher.InstallAuthorizer(event, &ForceLastAuthorizer, nullptr,

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/dispatcher.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace {
@@ -23,7 +24,7 @@ class OrderModelTest : public ::testing::TestWithParam<int> {};
 TEST_P(OrderModelTest, DispatchOrderMatchesModel) {
   std::mt19937_64 rng(GetParam());
   Module module("OrderModel");
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Event<void(int64_t)> event("Order.Model", &module, nullptr, &dispatcher);
 
   struct Entry {

@@ -19,6 +19,7 @@
 #include "src/remote/exporter.h"
 #include "src/remote/proxy.h"
 #include "src/sim/simulator.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace remote {
@@ -158,7 +159,7 @@ obs::CriticalPath::PhaseBreakdown TraceOneRoundtrip(uint16_t port,
                                                     std::string* folded_out) {
   obs::FlightRecorder::Global().Reset();
 
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   sim::Simulator sim;
   net::Wire wire{&sim, sim::LinkModel{}};
   net::Host client_host{"cp-client", 0x0a000301, &dispatcher};

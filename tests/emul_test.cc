@@ -6,6 +6,7 @@
 
 #include "src/emul/mach.h"
 #include "src/emul/osf.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace emul {
@@ -13,7 +14,7 @@ namespace {
 
 class EmulTest : public ::testing::Test {
  protected:
-  Dispatcher dispatcher_;
+  Dispatcher dispatcher_{EagerConfig()};
   Kernel kernel_{&dispatcher_};
   fs::Vfs vfs_{&dispatcher_};
 };

@@ -7,6 +7,7 @@
 
 #include "src/core/dispatcher.h"
 #include "src/fleet/fleet.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace fleet {
@@ -22,7 +23,7 @@ FleetOptions SmallFleet() {
 }
 
 TEST(FleetTest, CleanFleetEstablishesAndDelivers) {
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Fleet fleet(&dispatcher, SmallFleet());
   FleetReport report = fleet.Run();
   EXPECT_EQ(report.hosts, 8u);
@@ -37,7 +38,7 @@ TEST(FleetTest, CleanFleetEstablishesAndDelivers) {
 }
 
 uint64_t DeliveredWith(const std::string& stack, double loss) {
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   FleetOptions options;
   options.pairs = 10;
   options.conns_per_pair = 5;
@@ -65,7 +66,7 @@ TEST(FleetTest, RenoAndRackBeatStopAndWaitAtFivePercentLoss) {
 }
 
 TEST(FleetTest, TotalLossSurfacesDeadConnections) {
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   FleetOptions options = SmallFleet();
   options.loss = 1.0;  // nothing survives the wire
   options.rto_ns = 1'000'000;
@@ -79,7 +80,7 @@ TEST(FleetTest, TotalLossSurfacesDeadConnections) {
 }
 
 TEST(FleetTest, MidRunSwapKeepsEveryStreamIntact) {
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   FleetOptions options = SmallFleet();
   options.stack = "reno";
   options.loss = 0.02;

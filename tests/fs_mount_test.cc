@@ -9,6 +9,7 @@
 
 #include "src/fs/logfs.h"
 #include "src/fs/vfs.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace fs {
@@ -34,7 +35,7 @@ class MountTest : public ::testing::Test {
     vfs_.CloseFd.Raise(fd);
   }
 
-  Dispatcher dispatcher_;
+  Dispatcher dispatcher_{EagerConfig()};
   Vfs vfs_{&dispatcher_};
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/fs/vfs.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace fs {
@@ -13,7 +14,7 @@ namespace {
 
 class FsTest : public ::testing::Test {
  protected:
-  Dispatcher dispatcher_;
+  Dispatcher dispatcher_{EagerConfig()};
   Vfs vfs_{&dispatcher_};
 };
 

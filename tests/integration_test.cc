@@ -14,6 +14,7 @@
 #include "src/net/tcp.h"
 #include "src/profile/profile.h"
 #include "src/sim/simulator.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace {
@@ -113,7 +114,7 @@ class IntegrationTest : public ::testing::Test {
   }
 
   Module ext_module_{"WebServerExt"};
-  Dispatcher dispatcher_;
+  Dispatcher dispatcher_{EagerConfig()};
   Kernel kernel_{&dispatcher_};
   fs::Vfs vfs_{&dispatcher_};
   Linker linker_;

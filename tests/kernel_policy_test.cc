@@ -5,13 +5,14 @@
 #include <gtest/gtest.h>
 
 #include "src/kernel/kernel.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace {
 
 class PolicyTest : public ::testing::Test {
  protected:
-  Dispatcher dispatcher_;
+  Dispatcher dispatcher_{EagerConfig()};
   Kernel kernel_{&dispatcher_};
 };
 

@@ -3,13 +3,14 @@
 
 #include "src/emul/osf.h"
 #include "src/kernel/kernel.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace {
 
 class TimerTest : public ::testing::Test {
  protected:
-  Dispatcher dispatcher_;
+  Dispatcher dispatcher_{EagerConfig()};
   Kernel kernel_{&dispatcher_};
 };
 

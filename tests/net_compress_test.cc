@@ -6,6 +6,7 @@
 #include "src/net/host.h"
 #include "src/net/tcp.h"
 #include "src/sim/simulator.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace net {
@@ -15,7 +16,7 @@ class CompressTest : public ::testing::Test {
  protected:
   CompressTest() { wire_.Attach(a_, b_); }
 
-  Dispatcher dispatcher_;
+  Dispatcher dispatcher_{EagerConfig()};
   sim::Simulator sim_;
   Wire wire_{&sim_, sim::LinkModel{}};
   Host a_{"a", 0x0a000001, &dispatcher_};

@@ -11,6 +11,7 @@
 #include "src/net/stacks/tcp_stack.h"
 #include "src/net/tcp.h"
 #include "src/sim/simulator.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace net {
@@ -250,7 +251,7 @@ class StackWireTest : public ::testing::Test {
  protected:
   StackWireTest() { wire_.Attach(a_, b_); }
 
-  Dispatcher dispatcher_;
+  Dispatcher dispatcher_{EagerConfig()};
   sim::Simulator sim_;
   Wire wire_{&sim_, sim::LinkModel{}};
   Host a_{"hostA", 0x0a000001, &dispatcher_};
@@ -374,7 +375,7 @@ TEST_F(StackWireTest, HotSwapUnderLossPreservesByteStream) {
 TEST_F(StackWireTest, CompressionComposesWithEveryStack) {
   RegisterBuiltinTcpStacks();
   for (const std::string& name : TcpStackRegistry::Global().Names()) {
-    Dispatcher dispatcher;
+    Dispatcher dispatcher(EagerConfig());
     sim::Simulator sim;
     Wire wire(&sim, sim::LinkModel{});
     Host a("a-" + name, 0x0a000001, &dispatcher);

@@ -9,6 +9,7 @@
 #include "src/net/tcp.h"
 #include "src/obs/export.h"
 #include "src/sim/simulator.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace net {
@@ -20,7 +21,7 @@ class NetTest : public ::testing::Test {
     wire_.Attach(a_, b_);
   }
 
-  Dispatcher dispatcher_;
+  Dispatcher dispatcher_{EagerConfig()};
   sim::Simulator sim_;
   net::Wire wire_{&sim_, sim::LinkModel{}};
   Host a_{"hostA", 0x0a000001, &dispatcher_};

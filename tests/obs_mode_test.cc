@@ -42,9 +42,12 @@ struct ModeFixture {
   Event<void(int64_t)> direct{"Mode.Direct", &module, &Intrinsic,
                               &dispatcher};
 
+  // Eager compilation, so the mixed event runs its stub from the first of
+  // its few raises wherever the mode keeps stubs.
   static Dispatcher::Config MakeConfig(ThreadPool* pool) {
     Dispatcher::Config config;
     config.pool = pool;
+    config.lazy_compile = false;
     return config;
   }
 

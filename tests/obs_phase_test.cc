@@ -15,6 +15,7 @@
 #include "src/obs/export.h"
 #include "src/obs/obs.h"
 #include "src/obs/trace.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace {
@@ -231,7 +232,7 @@ TEST(ObsPhaseTest, TracedSyncDispatchStampsInterpGuardAndBodyPhases) {
 TEST(ObsPhaseTest, SampledDispatchAttributesToTheStub) {
   obs::FlightRecorder::Global().Reset();
   obs::ResetPhaseStats();
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());  // the install compiles the stub
   CountCtx ctx;
   Event<void(int64_t)> event("Phase.Stub", nullptr, nullptr, &dispatcher);
   dispatcher.InstallHandler(event, &CountingHandler, &ctx);

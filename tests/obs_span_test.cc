@@ -17,6 +17,7 @@
 #include "src/obs/obs.h"
 #include "src/obs/query.h"
 #include "src/obs/trace.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace {
@@ -250,7 +251,7 @@ bool IsRaiseKind(obs::TraceKind kind) {
 // A dispatcher wired so one top-level raise produces a three-limb causal
 // tree: a sync handler that raises a nested event, and an async handler.
 struct SampleFixture {
-  Dispatcher dispatcher;
+  Dispatcher dispatcher{EagerConfig()};
   Module module{"SampleTest"};
   Event<void(int64_t)> outer;
   Event<void(int64_t)> inner;

@@ -16,6 +16,7 @@
 #include "src/core/dispatcher.h"
 #include "src/obs/export.h"
 #include "src/obs/trace.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace {
@@ -374,7 +375,7 @@ TEST(TracingTest, DirectBypassSuppressedAndRestored) {
 // --- Prometheus exposition -----------------------------------------------
 
 TEST(ExportTest, WellFormedExposition) {
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Module module("ExportTest");
   Event<int64_t(int64_t)> event("Export.Event", &module, &Return7,
                                 &dispatcher);
@@ -428,7 +429,7 @@ TEST(ExportTest, WellFormedExposition) {
 }
 
 TEST(DescribeTest, IncludesLatencySummary) {
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Module module("DescribeTest");
   Event<int64_t(int64_t)> event("Describe.Event", &module, &Return7,
                                 &dispatcher);

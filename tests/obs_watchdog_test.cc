@@ -23,6 +23,7 @@
 #include "src/remote/exporter.h"
 #include "src/remote/proxy.h"
 #include "src/sim/simulator.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace {
@@ -61,7 +62,7 @@ TEST(WatchdogTest, InlineDeadlineFlagsSlowHandlerAndOverridesSampling) {
   obs::Watchdog& dog = obs::Watchdog::Global();
   const uint64_t base = dog.Count(obs::AnomalyKind::kSlowHandler);
 
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Module module("WatchdogTest");
   Event<void(int64_t)> event("Watch.Slow", &module, nullptr, &dispatcher);
   SleepCtx ctx{50};
@@ -224,7 +225,8 @@ TEST(WatchdogTest, RealDispatcherProbesStayQuietWhenHealthy) {
   const uint64_t stall_base = dog.Count(obs::AnomalyKind::kQueueStall);
   const uint64_t epoch_base = dog.Count(obs::AnomalyKind::kEpochStall);
 
-  Dispatcher dispatcher;  // registers its pool/epoch probe on construction
+  // Registers its pool/epoch probe on construction.
+  Dispatcher dispatcher(EagerConfig());
   Module module("WatchdogTest");
   Event<void(int64_t)> event("Watch.Healthy", &module, nullptr, &dispatcher);
   SleepCtx ctx{0};
@@ -253,7 +255,7 @@ TEST(WatchdogTest, RetryStormDetectedUnderPartition) {
   obs::Watchdog& dog = obs::Watchdog::Global();
   const uint64_t base = dog.Count(obs::AnomalyKind::kRetryStorm);
 
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   sim::Simulator sim;
   net::Wire wire{&sim, sim::LinkModel{}};
   net::Host client_host{"storm-client", 0x0a000301, &dispatcher};
@@ -303,7 +305,7 @@ TEST(WatchdogTest, RetryStormDetectedUnderPartition) {
 TEST(WatchdogTest, SlowHandlerAnomaliesExportWithEventLabel) {
   obs::Watchdog& dog = obs::Watchdog::Global();
 
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Module module("WatchdogTest");
   Event<void(int64_t)> event("Watch.Labeled", &module, nullptr, &dispatcher);
   SleepCtx ctx{20};

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/profile/profile.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace profile {
@@ -31,7 +32,7 @@ TEST(ProfileTest, CountsRaisesAndTime) {
 
 TEST(ProfileTest, ProfilingDisablesDirectBypass) {
   Module module("Prof");
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Event<void(int64_t)> event("Prof.Tick", &module, &Noop, &dispatcher);
   EXPECT_NE(event.direct_fn(), nullptr);
   {
@@ -46,7 +47,7 @@ TEST(ProfileTest, ProfilingDisablesDirectBypass) {
 
 TEST(ProfileTest, ResetClearsCounters) {
   Module module("Prof");
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Event<void(int64_t)> event("Prof.Tick", &module, &Noop, &dispatcher);
   Profiler profiler(dispatcher);
   event.Raise(1);
@@ -70,7 +71,7 @@ TEST(ProfileTest, PrintTableLayout) {
 
 TEST(ProfileTest, SnapshotOfSelectedEvents) {
   Module module("Prof");
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Event<void(int64_t)> a("Prof.A", &module, &Noop, &dispatcher);
   Event<void(int64_t)> b("Prof.B", &module, &Noop, &dispatcher);
   Profiler profiler(dispatcher);

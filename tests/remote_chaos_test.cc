@@ -27,6 +27,7 @@
 #include "src/remote/exporter.h"
 #include "src/remote/proxy.h"
 #include "src/sim/simulator.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace remote {
@@ -73,7 +74,7 @@ Outcome RunChaos(uint64_t seed, int rounds) {
   Rng rng{seed};
   Outcome out;
 
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   sim::Simulator sim;
   net::Wire wire(&sim, sim::LinkModel{});
   net::Host client("client", 0x0a000001, &dispatcher);

@@ -29,6 +29,7 @@
 #include "src/remote/exporter.h"
 #include "src/remote/proxy.h"
 #include "src/sim/simulator.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace remote {
@@ -163,7 +164,7 @@ void RaiseAndObserve(ConfEvent& event, const Scenario& s, Observed& obs) {
 
 Observed RunLocal(const Scenario& s) {
   Observed obs;
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   Module authority{"Conf.Authority"};
   Module installer{s.untrusted ? "Untrusted.Local" : "Conf.Ext"};
   ConfEvent event("Conf.Op", &authority, nullptr, &dispatcher);
@@ -182,7 +183,7 @@ Observed RunLocal(const Scenario& s) {
 
 Observed RunRemote(const Scenario& s) {
   Observed obs;
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   sim::Simulator sim;
   net::Wire wire(&sim, sim::LinkModel{});
   net::Host client("client", 0x0a000001, &dispatcher);

@@ -25,6 +25,7 @@
 #include "src/remote/exporter.h"
 #include "src/remote/proxy.h"
 #include "src/sim/simulator.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace remote {
@@ -67,7 +68,7 @@ class ReplayCacheTest : public ::testing::Test {
     return EncodeRequest(req);
   }
 
-  Dispatcher dispatcher_;
+  Dispatcher dispatcher_{EagerConfig()};
   sim::Simulator sim_;
   net::Wire wire_{&sim_, sim::LinkModel{}};
   net::Host client_host_{"client", 0x0a000001, &dispatcher_};

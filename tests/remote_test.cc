@@ -18,6 +18,7 @@
 #include "src/remote/exporter.h"
 #include "src/remote/proxy.h"
 #include "src/sim/simulator.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace remote {
@@ -34,7 +35,7 @@ class RemoteTest : public ::testing::Test {
     return opts;
   }
 
-  Dispatcher dispatcher_;
+  Dispatcher dispatcher_{EagerConfig()};
   sim::Simulator sim_;
   net::Wire wire_{&sim_, sim::LinkModel{}};
   net::Host client_host_{"client", 0x0a000001, &dispatcher_};
@@ -487,7 +488,7 @@ TEST(RemoteAsyncTeardown, DestroyedProxyWaitsForItsQueuedMarshals) {
   ThreadPool pool(2);
   Dispatcher::Config config;
   config.pool = &pool;
-  Dispatcher dispatcher(config);
+  Dispatcher dispatcher(EagerConfig(config));
   sim::Simulator sim;
   net::Wire wire{&sim, sim::LinkModel{}};
   net::Host client_host{"client", 0x0a000001, &dispatcher};
@@ -830,7 +831,7 @@ TEST_F(RemoteTest, RevokedAsyncProxyDropsQueuedDatagrams) {
 
 TEST(RemoteDeterminism, SeededLossReplaysExactly) {
   auto run = [](uint64_t seed) {
-    Dispatcher dispatcher;
+    Dispatcher dispatcher(EagerConfig());
     sim::Simulator sim;
     net::Wire wire(&sim, sim::LinkModel{});
     net::Host client("client", 0x0a000001, &dispatcher);

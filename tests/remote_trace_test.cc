@@ -19,6 +19,7 @@
 #include "src/remote/exporter.h"
 #include "src/remote/proxy.h"
 #include "src/sim/simulator.h"
+#include "tests/eager_config.h"
 
 namespace spin {
 namespace remote {
@@ -44,7 +45,7 @@ TEST(RemoteTraceTest, OneRaiseYieldsOneSpanTreeAcrossHostsAndThreads) {
   // handler are guaranteed three distinct recorder tids.
   Dispatcher::Config config;
   config.async_mode = AsyncMode::kSpawn;
-  Dispatcher dispatcher(config);
+  Dispatcher dispatcher(EagerConfig(config));
   sim::Simulator sim;
   net::Wire wire{&sim, sim::LinkModel{}};
   net::Host client_host{"trace-client", 0x0a000101, &dispatcher};
@@ -170,7 +171,7 @@ TEST(RemoteTraceTest, OneRaiseYieldsOneSpanTreeAcrossHostsAndThreads) {
 TEST(RemoteTraceTest, SampledTreesCrossTheWireWholeOrNotAtAll) {
   obs::FlightRecorder::Global().Reset();
 
-  Dispatcher dispatcher;
+  Dispatcher dispatcher(EagerConfig());
   sim::Simulator sim;
   net::Wire wire{&sim, sim::LinkModel{}};
   net::Host client_host{"sample-client", 0x0a000201, &dispatcher};
