@@ -35,8 +35,11 @@ static_assert(offsetof(RaiseFrame, args) == kFrameArgsOffset);
 static_assert(offsetof(RaiseFrame, result) == kFrameResultOffset);
 static_assert(offsetof(RaiseFrame, fired) == kFrameFiredOffset);
 
-// Signature of a compiled dispatch routine.
-using DispatchStubFn = void (*)(RaiseFrame*);
+// Signature of a compiled dispatch routine. `operands` is the dispatching
+// table's operand array (codegen::StubOperands): the stub reads every call
+// target and closure from it, so one routine serves every table of its
+// shape.
+using DispatchStubFn = void (*)(RaiseFrame*, const uint64_t* operands);
 
 }  // namespace spin
 

@@ -1,5 +1,6 @@
 #include "src/codegen/stub_compiler.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "src/codegen/lir.h"
@@ -15,13 +16,22 @@ constexpr Reg kArgRegs[6] = {Reg::kRdi, Reg::kRsi, Reg::kRdx,
                              Reg::kRcx, Reg::kR8,  Reg::kR9};
 
 // Micro-program virtual register mapping. All scratch (caller-saved or
-// reloaded) registers; rbx stays the frame pointer, r11 is the address temp.
+// reloaded) registers; rbx stays the frame pointer, r12 the operand array,
+// r11 is the address temp.
 constexpr Reg kVregMap[micro::kNumRegs] = {Reg::kRax, Reg::kRcx, Reg::kRdx,
                                            Reg::kRsi, Reg::kRdi, Reg::kR8,
                                            Reg::kR9,  Reg::kR10};
 
 constexpr Reg kAddrTemp = Reg::kR11;
 constexpr Reg kFrameReg = Reg::kRbx;
+constexpr Reg kOperandReg = Reg::kR12;
+
+// Hands out operand slots, as byte displacements from kOperandReg, in the
+// order StubOperands lays them out.
+struct OperandCursor {
+  int32_t next = 0;
+  int32_t Take() { return 8 * next++; }
+};
 
 struct Emitter {
   std::vector<LInsn> code;
@@ -75,7 +85,7 @@ struct Emitter {
 struct MicroEnv {
   bool standalone = false;  // args spilled to the red zone below rsp
   bool closure_form = false;
-  uint64_t closure = 0;
+  int32_t closure_disp = 0;  // the closure's operand slot
 };
 
 Cond CondOfCmp(micro::Op op) {
@@ -114,7 +124,7 @@ bool IsCmp(micro::Op op) {
 void LowerLoadArg(Emitter& e, const MicroEnv& env, Reg dst, uint64_t index) {
   if (env.closure_form) {
     if (index == 0) {
-      e.MovRegImm(dst, env.closure);
+      e.Load(dst, kOperandReg, env.closure_disp);
       return;
     }
     index -= 1;
@@ -305,11 +315,13 @@ void LowerMicroGuard(Emitter& e, const micro::Program& prog,
   e.Jcc(Cond::kE, fail_label);
 }
 
-// Loads the event arguments into the SysV argument registers for a direct
-// call, applying the closure shift and filter by-ref (address-of-slot)
-// conventions.
-void EmitCallArgs(Emitter& e, const CallableSpec& callable, int num_args,
-                  const std::vector<uint8_t>& byref_params) {
+// Loads the event arguments into the SysV argument registers and calls the
+// callable's native entry from its operand slot, applying the closure
+// shift and filter by-ref (address-of-slot) conventions.
+void EmitCall(Emitter& e, const CallableSpec& callable, int num_args,
+              const std::vector<uint8_t>& byref_params, OperandCursor& ops) {
+  const int32_t closure_disp = callable.closure_form ? ops.Take() : 0;
+  const int32_t fn_disp = ops.Take();
   int shift = callable.closure_form ? 1 : 0;
   for (int i = 0; i < num_args; ++i) {
     Reg reg = kArgRegs[i + shift];
@@ -328,30 +340,70 @@ void EmitCallArgs(Emitter& e, const CallableSpec& callable, int num_args,
     }
   }
   if (callable.closure_form) {
-    e.MovRegImm(kArgRegs[0], reinterpret_cast<uintptr_t>(callable.closure));
+    e.Load(kArgRegs[0], kOperandReg, closure_disp);
   }
-  e.MovRegImm(Reg::kRax, reinterpret_cast<uintptr_t>(callable.fn));
+  e.Load(Reg::kRax, kOperandReg, fn_disp);
   e.Emit({.op = LOp::kCall, .dst = Reg::kRax});
 }
 
+// A micro-program is inlined whenever inlining is on; StubEligible
+// rejects one that does not validate.
 bool UseInline(const StubSpec& spec, const CallableSpec& callable) {
-  return spec.inline_micro && callable.prog != nullptr &&
-         callable.prog->Validate() == micro::ValidateStatus::kOk;
+  return spec.inline_micro && callable.prog != nullptr;
+}
+
+// A callable's operands: its closure (closure forms), then its native
+// entry (unless inlined). Both the emitter and StubOperands follow this.
+void AppendOperands(const StubSpec& spec, const CallableSpec& callable,
+                    std::vector<uint64_t>& out) {
+  if (callable.closure_form) {
+    out.push_back(reinterpret_cast<uintptr_t>(callable.closure));
+  }
+  if (!UseInline(spec, callable)) {
+    out.push_back(reinterpret_cast<uintptr_t>(callable.fn));
+  }
+}
+
+// Lays out `spec`'s operands. `first`, when given, receives each binding's
+// first operand slot.
+std::vector<uint64_t> LayOutOperands(const StubSpec& spec,
+                                     std::vector<int32_t>* first) {
+  std::vector<uint64_t> operands;
+  for (const BindingSpec& binding : spec.bindings) {
+    if (first != nullptr) {
+      first->push_back(static_cast<int32_t>(operands.size()));
+    }
+    for (const CallableSpec& guard : binding.guards) {
+      AppendOperands(spec, guard, operands);
+    }
+    AppendOperands(spec, binding.handler, operands);
+  }
+  return operands;
+}
+
+// The lowering environment of an inlined micro guard or handler, whose
+// closure, if any, is the next operand.
+MicroEnv InlineEnv(const CallableSpec& callable, OperandCursor& ops) {
+  MicroEnv env;
+  env.closure_form = callable.closure_form;
+  if (callable.closure_form) {
+    env.closure_disp = ops.Take();
+  }
+  return env;
 }
 
 // Emits one binding's guards (branching to `fail_label` when any guard
 // rejects), its handler call/inline body, the result fold, and the fired
-// increment. Control falls through on success.
+// increment. Control falls through on success. `ops` is at the binding's
+// first operand.
 void EmitBindingBody(Emitter& e, const StubSpec& spec,
-                     const BindingSpec& binding, int fail_label) {
+                     const BindingSpec& binding, int fail_label,
+                     OperandCursor& ops) {
   for (const CallableSpec& guard : binding.guards) {
     if (UseInline(spec, guard)) {
-      MicroEnv env;
-      env.closure_form = guard.closure_form;
-      env.closure = reinterpret_cast<uintptr_t>(guard.closure);
-      LowerMicroGuard(e, *guard.prog, env, fail_label);
+      LowerMicroGuard(e, *guard.prog, InlineEnv(guard, ops), fail_label);
     } else {
-      EmitCallArgs(e, guard, spec.num_args, {});
+      EmitCall(e, guard, spec.num_args, {}, ops);
       // Only %al is defined for a bool return.
       e.Emit({.op = LOp::kMovzx8, .dst = Reg::kRax});
       e.Emit({.op = LOp::kTestRegReg, .dst = Reg::kRax, .src = Reg::kRax});
@@ -359,12 +411,9 @@ void EmitBindingBody(Emitter& e, const StubSpec& spec,
     }
   }
   if (UseInline(spec, binding.handler)) {
-    MicroEnv env;
-    env.closure_form = binding.handler.closure_form;
-    env.closure = reinterpret_cast<uintptr_t>(binding.handler.closure);
-    LowerMicroValue(e, *binding.handler.prog, env);
+    LowerMicroValue(e, *binding.handler.prog, InlineEnv(binding.handler, ops));
   } else {
-    EmitCallArgs(e, binding.handler, spec.num_args, binding.byref_params);
+    EmitCall(e, binding.handler, spec.num_args, binding.byref_params, ops);
     if (spec.policy != ResultPolicy::kNone && spec.result_is_bool) {
       e.Emit({.op = LOp::kMovzx8, .dst = Reg::kRax});
     }
@@ -433,8 +482,67 @@ void EmitTreeSearch(Emitter& e, const std::vector<TreeCase>& cases,
 CompiledStub::CompiledStub(std::unique_ptr<CodeBuffer> buffer,
                            size_t lir_insns, size_t peephole_rewrites)
     : buffer_(std::move(buffer)),
+      entry_(reinterpret_cast<DispatchStubFn>(
+          const_cast<void*>(buffer_->entry()))),
       lir_insns_(lir_insns),
       peephole_rewrites_(peephole_rewrites) {}
+
+StubKey::StubKey(const StubSpec& spec) {
+  words_.reserve(8 + 16 * spec.bindings.size());
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto add = [&](uint64_t word) {
+    words_.push_back(word);
+    h = (h ^ word) * 0x100000001b3ull;
+    h ^= h >> 29;
+  };
+  auto add_callable = [&](const CallableSpec& callable) {
+    const bool inlined = UseInline(spec, callable);
+    add(uint64_t{inlined} | uint64_t{callable.closure_form} << 1);
+    if (inlined) {
+      const std::vector<micro::Insn>& code = callable.prog->code();
+      add(code.size());
+      for (const micro::Insn& insn : code) {
+        add(uint64_t{static_cast<uint8_t>(insn.op)} |
+            uint64_t{insn.dst} << 8 | uint64_t{insn.a} << 16 |
+            uint64_t{insn.b} << 24);
+        add(insn.imm);
+      }
+    }
+  };
+  add(static_cast<uint64_t>(spec.num_args));
+  add(static_cast<uint64_t>(spec.policy));
+  add(uint64_t{spec.result_is_bool} | uint64_t{spec.inline_micro} << 1 |
+      uint64_t{spec.optimize} << 2 | uint64_t{spec.tree.has_value()} << 3);
+  add(spec.bindings.size());
+  for (const BindingSpec& binding : spec.bindings) {
+    add(binding.guards.size());
+    for (const CallableSpec& guard : binding.guards) {
+      add_callable(guard);
+    }
+    add_callable(binding.handler);
+    add(binding.byref_params.size());
+    for (uint8_t p : binding.byref_params) {
+      add(p);
+    }
+  }
+  if (spec.tree.has_value()) {
+    const StubTree& tree = *spec.tree;
+    add(static_cast<uint64_t>(tree.arg));
+    add(tree.offset);
+    add(tree.width);
+    add(tree.mask);
+    add(tree.cases.size());
+    for (const TreeCase& c : tree.cases) {
+      add(c.value);
+      add(c.binding_index);
+    }
+  }
+  hash_ = static_cast<size_t>(h);
+}
+
+std::vector<uint64_t> StubOperands(const StubSpec& spec) {
+  return LayOutOperands(spec, nullptr);
+}
 
 bool CodegenAvailable() {
 #if defined(SPIN_JIT_X86_64)
@@ -455,19 +563,22 @@ bool StubEligible(const StubSpec& spec, std::string* why) {
   if (spec.num_args > 6) {
     return fail("more than 6 register arguments");
   }
-  for (const BindingSpec& binding : spec.bindings) {
-    std::vector<const CallableSpec*> callables;
-    callables.push_back(&binding.handler);
-    for (const CallableSpec& g : binding.guards) {
-      callables.push_back(&g);
+  auto resolvable = [&](const CallableSpec& c) {
+    if (c.closure_form && spec.num_args > 5) {
+      return fail("closure plus more than 5 arguments");
     }
-    for (const CallableSpec* c : callables) {
-      if (c->closure_form && spec.num_args > 5) {
-        return fail("closure plus more than 5 arguments");
-      }
-      if (!UseInline(spec, *c) && c->fn == nullptr) {
-        return fail("callable has no native entry and cannot be inlined");
-      }
+    if (UseInline(spec, c)) {
+      return c.prog->Validate() == micro::ValidateStatus::kOk ||
+             fail("inlined micro-program does not validate");
+    }
+    return c.fn != nullptr ||
+           fail("callable has no native entry and cannot be inlined");
+  };
+  for (const BindingSpec& binding : spec.bindings) {
+    if (!resolvable(binding.handler) ||
+        !std::all_of(binding.guards.begin(), binding.guards.end(),
+                     resolvable)) {
+      return false;
     }
     for (uint8_t p : binding.byref_params) {
       if (p >= spec.num_args) {
@@ -503,11 +614,25 @@ std::unique_ptr<CompiledStub> CompileStub(const StubSpec& spec) {
   if (!CodegenAvailable() || !StubEligible(spec)) {
     return nullptr;
   }
+  // Each binding's first operand slot (the tree visits bindings in case
+  // order, not binding order).
+  std::vector<int32_t> first_operand;
+  const bool has_operands = !LayOutOperands(spec, &first_operand).empty();
+
   Emitter e;
-  // Prologue: keep the frame pointer in rbx (callee-saved). After the push,
-  // rsp is 16-byte aligned at every emitted call.
+  // Prologue: keep the frame pointer in rbx and the operand array in r12
+  // (both callee-saved). One push leaves rsp 16-byte aligned; a stub with
+  // operands pushes r12 and a pad word, so rsp is aligned at every emitted
+  // call. A stub without operands calls nothing.
   e.Emit({.op = LOp::kPush, .dst = kFrameReg});
+  if (has_operands) {
+    e.Emit({.op = LOp::kPush, .dst = kOperandReg});
+    e.Emit({.op = LOp::kPush, .dst = Reg::kRax});
+  }
   e.MovRegReg(kFrameReg, Reg::kRdi);
+  if (has_operands) {
+    e.MovRegReg(kOperandReg, Reg::kRsi);
+  }
 
   if (spec.tree.has_value()) {
     const StubTree& tree = *spec.tree;
@@ -532,20 +657,26 @@ std::unique_ptr<CompiledStub> CompileStub(const StubSpec& spec) {
     EmitTreeSearch(e, tree.cases, case_labels, Reg::kRcx, 0,
                    tree.cases.size(), done);
     for (size_t i = 0; i < tree.cases.size(); ++i) {
+      const uint32_t b = tree.cases[i].binding_index;
       e.Bind(case_labels[i]);
-      EmitBindingBody(e, spec, spec.bindings[tree.cases[i].binding_index],
-                      done);
+      OperandCursor ops{first_operand[b]};
+      EmitBindingBody(e, spec, spec.bindings[b], done, ops);
       e.Jmp(done);
     }
     e.Bind(done);
   } else {
+    OperandCursor ops;
     for (const BindingSpec& binding : spec.bindings) {
       int skip = e.NewLabel();
-      EmitBindingBody(e, spec, binding, skip);
+      EmitBindingBody(e, spec, binding, skip, ops);
       e.Bind(skip);
     }
   }
 
+  if (has_operands) {
+    e.Emit({.op = LOp::kPop, .dst = Reg::kRax});
+    e.Emit({.op = LOp::kPop, .dst = kOperandReg});
+  }
   e.Emit({.op = LOp::kPop, .dst = kFrameReg});
   e.Emit({.op = LOp::kRet});
 

@@ -9,13 +9,21 @@
 // peephole optimizations to improve the quality of the generated code." (§3)
 //
 // CompileStub turns a StubSpec — the flattened form of an event's handler
-// list — into x86-64 machine code with exactly that structure:
-//   - the binding loop is unrolled; handler/guard addresses are immediates
-//     (direct calls),
+// list — into x86-64 machine code with that structure:
+//   - the binding loop is unrolled; each guard and handler that is not
+//     inlined is called through its slot of the table's operand array,
+//     which the stub keeps in a callee-saved register (one load per call,
+//     no list walk),
 //   - guards and handlers supplied as micro-programs are inlined,
 //   - results are folded per the event's result policy,
 //   - the fired-handler count is maintained for the raise wrapper's
 //     no-handler/default-handler logic.
+// The code is specialized to the spec's shape, not to its targets: every
+// native entry and closure is read from the operand array (StubOperands),
+// so specs with equal StubKeys compile to identical bytes and one compiled
+// stub serves every table of that shape. The paper's stub embedded its
+// handler addresses; this one trades that immediate for a load so that a
+// change compiles only a shape no live table has.
 //
 // CompileMicro compiles a single micro-program into a standalone native
 // procedure (args in registers, SysV). The dispatcher calls it only for
@@ -26,6 +34,8 @@
 #ifndef SRC_CODEGEN_STUB_COMPILER_H_
 #define SRC_CODEGEN_STUB_COMPILER_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -39,8 +49,9 @@ namespace spin {
 namespace codegen {
 
 // A native procedure or inlinable micro-program participating in dispatch.
+// `fn` and `closure` are operands: they do not decide the emitted code.
 struct CallableSpec {
-  void* fn = nullptr;       // native entry (C ABI); required if prog unusable
+  void* fn = nullptr;       // native entry (C ABI); required unless inlined
   void* closure = nullptr;  // passed as the leading argument if closure_form
   bool closure_form = false;
   const micro::Program* prog = nullptr;  // inlined when inlining is enabled
@@ -93,21 +104,48 @@ struct StubSpec {
   std::optional<StubTree> tree;
 };
 
+// The shape of a stub: every field of a StubSpec that decides the emitted
+// bytes (arity, result policy and bool normalization, each callable's form
+// and each inlined program with its immediates, by-ref slots, the tree's
+// field and constants, inline_micro and optimize), and none that only
+// names a native entry or a closure. Specs with equal keys compile to
+// identical code and differ only in their operands.
+class StubKey {
+ public:
+  explicit StubKey(const StubSpec& spec);
+
+  friend bool operator==(const StubKey&, const StubKey&) = default;
+  size_t hash() const { return hash_; }
+
+  struct Hash {
+    size_t operator()(const StubKey& key) const { return key.hash(); }
+  };
+
+ private:
+  std::vector<uint64_t> words_;
+  size_t hash_ = 0;
+};
+
+// The operand array a stub of `spec`'s shape reads at each call: for each
+// binding in order, its guards in order and then its handler each add
+// their closure (closure forms) and then their native entry (unless
+// inlined).
+std::vector<uint64_t> StubOperands(const StubSpec& spec);
+
 class CompiledStub {
  public:
   CompiledStub(std::unique_ptr<CodeBuffer> buffer, size_t lir_insns,
                size_t peephole_rewrites);
 
-  DispatchStubFn entry() const {
-    return reinterpret_cast<DispatchStubFn>(
-        const_cast<void*>(buffer_->entry()));
-  }
+  // Call with the operands of a spec whose key equals the compiled one's.
+  DispatchStubFn entry() const { return entry_; }
   size_t code_size() const { return buffer_->code_size(); }
   size_t lir_insns() const { return lir_insns_; }
   size_t peephole_rewrites() const { return peephole_rewrites_; }
 
  private:
   std::unique_ptr<CodeBuffer> buffer_;
+  DispatchStubFn entry_;
   size_t lir_insns_;
   size_t peephole_rewrites_;
 };
@@ -129,8 +167,9 @@ class CompiledMicro {
 bool CodegenAvailable();
 
 // Checks whether `spec` can be compiled: ≤6 register args (≤5 when any
-// callable uses a closure), every callable resolvable (native fn, or a
-// valid micro-program when inlining), and a built-in result policy.
+// callable uses a closure), every callable resolvable (a native fn, or,
+// when inlining, a micro-program that validates), and a built-in result
+// policy.
 // On failure returns false and explains in `why` if non-null.
 bool StubEligible(const StubSpec& spec, std::string* why = nullptr);
 

@@ -277,7 +277,7 @@ void ExecuteTable(EventBase& event, const DispatchTable& table,
     // Compiled dispatch fuses guard evaluation and handler bodies into one
     // routine, so the finest attributable phase is the stub call itself.
     obs::PhaseScope stub_phase(obs::Phase::kStub, event.obs_name(), tracing);
-    table.stub->entry()(&frame);
+    table.stub->Call(frame);
   } else {
     // The interp phase's self-time is the dispatch loop overhead proper:
     // guard evaluation and handler bodies subtract themselves out through

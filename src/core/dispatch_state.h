@@ -51,6 +51,17 @@ struct TableEntry {
 // published, and each queued async task holds one reference to it.
 using AsyncBindingList = std::vector<TableEntry>;
 
+// A table's generated dispatch routine: code shared by every live table of
+// the same shape (codegen::StubKey), called with this table's targets.
+struct TableStub {
+  std::shared_ptr<const codegen::CompiledStub> code;
+  std::vector<uint64_t> operands;  // codegen::StubOperands
+
+  void Call(RaiseFrame& frame) const {
+    code->entry()(&frame, operands.data());
+  }
+};
+
 struct DispatchTable {
   // Handlers in dispatch order. Sync handlers execute inline (via the stub
   // when one was generated); async handlers have their guards evaluated
@@ -69,7 +80,8 @@ struct DispatchTable {
   uint64_t ephemeral_budget_ns = 0;  // relative budget for EPHEMERAL handlers
 
   // Generated dispatch routine covering sync_bindings (null => interpret).
-  std::unique_ptr<codegen::CompiledStub> stub;
+  // Its code is freed when the epoch reclaims the last table holding it.
+  std::unique_ptr<const TableStub> stub;
 
   // Lazy-compile mode: this table is interpreted, but the event should be
   // promoted to a compiled table once it proves hot.

@@ -519,11 +519,11 @@ std::string Dispatcher::Describe(EventBase& event) const {
                 table->GuardCount());
   out += line;
   if (table->stub != nullptr) {
+    const codegen::CompiledStub& code = *table->stub->code;
     std::snprintf(line, sizeof(line),
                   "  generated code: %zu bytes, %zu LIR insns, "
                   "%zu peephole rewrites\n",
-                  table->stub->code_size(), table->stub->lir_insns(),
-                  table->stub->peephole_rewrites());
+                  code.code_size(), code.lir_insns(), code.peephole_rewrites());
     out += line;
   }
   std::snprintf(line, sizeof(line), "  table version: %u\n", table->version);
@@ -880,17 +880,16 @@ void Dispatcher::RebuildLocked(EventBase& event) {
     if (tree_plan.has_value()) {
       spec.tree = std::move(tree_plan->tree);
     }
-    table->stub = codegen::CompileStub(spec);
-    if (table->stub != nullptr) {
-      ++stats_.stub_compiles;
+    std::shared_ptr<const codegen::CompiledStub> code =
+        StubForLocked(event, spec);
+    if (code != nullptr) {
       if (spec.tree.has_value()) {
         ++stats_.tree_tables;
       }
       table->obs_kind = spec.tree.has_value() ? obs::DispatchKind::kTree
                                               : obs::DispatchKind::kStub;
-      obs::FlightRecorder::Global().Emit(obs::TraceKind::kStubCompile,
-                                         event.obs_name_,
-                                         table->stub->code_size());
+      table->stub = std::make_unique<const TableStub>(
+          TableStub{std::move(code), codegen::StubOperands(spec)});
     }
   }
   if (direct_candidate != nullptr) {
@@ -917,6 +916,31 @@ void Dispatcher::RebuildLocked(EventBase& event) {
   if (old != nullptr) {
     epoch().Retire(old, &DeleteTable);
   }
+}
+
+std::shared_ptr<const codegen::CompiledStub> Dispatcher::StubForLocked(
+    const EventBase& event, const codegen::StubSpec& spec) {
+  auto [it, inserted] = stubs_.try_emplace(codegen::StubKey(spec));
+  std::shared_ptr<const codegen::CompiledStub> code = it->second.lock();
+  if (code != nullptr) {
+    return code;  // a live table has this shape
+  }
+  code = codegen::CompileStub(spec);
+  if (code == nullptr) {
+    stubs_.erase(it);
+    return nullptr;
+  }
+  it->second = code;
+  ++stats_.stub_compiles;
+  obs::FlightRecorder::Global().Emit(obs::TraceKind::kStubCompile,
+                                     event.obs_name_, code->code_size());
+  if (inserted && stubs_.size() >= stubs_sweep_at_) {
+    std::erase_if(stubs_, [](const auto& entry) {
+      return entry.second.expired();
+    });
+    stubs_sweep_at_ = std::max(kStubSweepMin, 2 * stubs_.size());
+  }
+  return code;
 }
 
 void Dispatcher::ExportMetricsSource(void* ctx, std::ostream& os) {

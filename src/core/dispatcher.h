@@ -32,6 +32,7 @@
 #include <mutex>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "src/codegen/frame.h"
@@ -87,10 +88,11 @@ class Dispatcher {
     bool guard_tree = false;
     // Incremental installation (§3.1 future work): an event's tables are
     // interpreted until it has been raised kLazyPromoteRaises times; that
-    // raise compiles its stub, and from then on every change to the event
-    // compiles eagerly. Installs on an event that is never raised that
+    // raise gives it a stub, and from then on every change to the event
+    // gets one eagerly. Installs on an event that is never raised that
     // often compile nothing. false is the evaluated system's eager mode,
-    // which compiles a stub for every table generation (ablation D5).
+    // which gives every table generation a stub (ablation D5). Either way
+    // a stub is compiled only for a shape no live table has.
     bool lazy_compile = true;
     AsyncMode async_mode = AsyncMode::kPooled;
     ThreadPool* pool = nullptr;        // default: ThreadPool::Global()
@@ -287,6 +289,10 @@ class Dispatcher {
   // Dumps Describe() for every registered event.
   void DescribeAll(std::ostream& os) const;
 
+  // Table counters count every rebuild by how its table dispatches; a
+  // table a stub serves counts under neither interp nor direct. A stub is
+  // compiled only for a shape no live table has, so stub_compiles counts
+  // compiles, not stub tables.
   struct Stats {
     uint64_t installs = 0;
     uint64_t uninstalls = 0;
@@ -294,7 +300,7 @@ class Dispatcher {
     uint64_t stub_compiles = 0;
     uint64_t interp_tables = 0;
     uint64_t direct_tables = 0;
-    uint64_t tree_tables = 0;      // stubs using the guard decision tree
+    uint64_t tree_tables = 0;      // tables served by a decision-tree stub
     uint64_t lazy_promotions = 0;  // lazy events promoted to compiled
   };
   Stats stats() const;
@@ -324,6 +330,10 @@ class Dispatcher {
   void UnregisterEvent(EventBase* event);
   void PromoteLazyEvent(EventBase& event);
   void RebuildLocked(EventBase& event);
+  // The live stub of `spec`'s shape, compiled and recorded if no live
+  // table has it; null when the code cannot be generated.
+  std::shared_ptr<const codegen::CompiledStub> StubForLocked(
+      const EventBase& event, const codegen::StubSpec& spec);
   bool AuthorizeLocked(AuthRequest& request);
   void PlaceLocked(EventBase& event, const BindingHandle& binding,
                    const Order& order);
@@ -357,6 +367,16 @@ class Dispatcher {
   std::vector<EventBase*> events_;
   obs::TraceMode trace_mode_ = obs::TraceMode::kOff;  // read by RebuildLocked
   Stats stats_;
+  // The live stubs by shape, so a rebuild compiles only a shape no live
+  // table has. Tables own the stubs; an entry expires with the last table
+  // holding its stub, and expired entries are swept when the map has grown
+  // to twice its size after the last sweep.
+  std::unordered_map<codegen::StubKey,
+                     std::weak_ptr<const codegen::CompiledStub>,
+                     codegen::StubKey::Hash>
+      stubs_;
+  static constexpr size_t kStubSweepMin = 64;
+  size_t stubs_sweep_at_ = kStubSweepMin;
 };
 
 // --- Typed events -----------------------------------------------------------

@@ -48,6 +48,7 @@ void Watchdog::Arm(const WatchdogConfig& config) {
     std::lock_guard<std::mutex> lock(mu_);
     config_ = config;
     prev_.clear();
+    arm_seq_ = poll_seq_;
     burst_used_ = false;
     burst_active_ = false;
     burst_polls_left_ = 0;
@@ -102,9 +103,11 @@ void Watchdog::Poll() {
   std::vector<Probe> probes;
   WatchdogConfig config;
   uint64_t seq;
+  bool first_since_arm;
   {
     std::lock_guard<std::mutex> lock(mu_);
     seq = ++poll_seq_;
+    first_since_arm = seq == arm_seq_ + 1;
     ++polls_in_flight_;
     probes = probes_;
     config = config_;
@@ -163,7 +166,7 @@ void Watchdog::Poll() {
     }
   }
 
-  CheckTraceRings(config);
+  CheckTraceRings(config, first_since_arm);
   RefreshSlowDeadlines();
 
   {
@@ -183,7 +186,8 @@ void Watchdog::Poll() {
   poll_cv_.notify_all();
 }
 
-void Watchdog::CheckTraceRings(const WatchdogConfig& config) {
+void Watchdog::CheckTraceRings(const WatchdogConfig& config,
+                               bool first_since_arm) {
   if (config.trace_drop_ratio <= 0) {
     return;
   }
@@ -206,9 +210,13 @@ void Watchdog::CheckTraceRings(const WatchdogConfig& config) {
       }
       prev_[key] = PrevSample{ring.overwrites, ring.emits};
     }
+    // The first pass since Arm baselines every ring that exists. A ring a
+    // later pass sees for the first time was created after that baseline,
+    // so every emit and overwrite it counts is new: it starts from zero.
+    const bool baseline = !seen && first_since_arm;
     // Counters shrink only when the recorder was Reset between polls; the
     // stored baseline is stale then, so this pass just re-baselines.
-    if (!seen || ring.emits < prev.progress ||
+    if (baseline || ring.emits < prev.progress ||
         ring.overwrites < prev.depth) {
       continue;
     }

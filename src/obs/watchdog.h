@@ -196,7 +196,8 @@ class Watchdog {
   };
 
   // Ring-pressure rule, run inside Poll() against PerRingStats().
-  void CheckTraceRings(const WatchdogConfig& config);
+  // `first_since_arm` marks the pass that baselines every ring.
+  void CheckTraceRings(const WatchdogConfig& config, bool first_since_arm);
 
   mutable std::mutex mu_;
   WatchdogConfig config_;
@@ -215,6 +216,7 @@ class Watchdog {
   // never retires in the same pass — or instant — that latched it.
   uint64_t poll_seq_ = 0;        // guarded by mu_
   uint64_t burst_latch_seq_ = 0;  // guarded by mu_
+  uint64_t arm_seq_ = 0;  // poll_seq_ at the last Arm; guarded by mu_
   TraceConfig burst_saved_;
 
   // Number of Poll() passes currently invoking probe callbacks (outside

@@ -10,6 +10,10 @@
 // length-decoding x86-64 decoder in tests/x86_disasm.h — which recognizes
 // exactly the encoder inventory of src/codegen/lir.cc and refuses anything
 // else — and compared line-for-line against tests/golden/stubs.golden.
+// A dispatch stub reads its callees and closures from the operand array,
+// so each stub case is compiled a second time with other callees and
+// closures: the bytes and the StubKey must not change, and the operands
+// must.
 //
 // On intentional codegen changes, regenerate with:
 //   python3 tools/update_golden.py           (or --check to verify)
@@ -37,6 +41,8 @@ using spin::codegen::CompiledStub;
 using spin::codegen::CompileMicro;
 using spin::codegen::CompileStub;
 using spin::codegen::ResultPolicy;
+using spin::codegen::StubKey;
+using spin::codegen::StubOperands;
 using spin::codegen::StubSpec;
 using spin::codegen::StubTree;
 using spin::codegen::TreeCase;
@@ -44,8 +50,8 @@ using spin::micro::Program;
 using spin::micro::ProgramBuilder;
 
 // Sentinel addresses: never dereferenced (the stubs are only disassembled,
-// not run), chosen to exercise both imm64 materialization (high bits set)
-// and the shorter zero-extending imm32 form (high bits clear).
+// not run). A micro-program's global address is an immediate of its code;
+// kGlobalAddr has high bits set, so it needs the imm64 form.
 constexpr uint64_t kHandlerAddr = 0x1122334455667788ull;
 constexpr uint64_t kGuardAddr = 0x99aabbccddeeff00ull;
 constexpr uint64_t kClosureAddr = 0x41424344ull;
@@ -63,6 +69,31 @@ void Fail(const std::string& what) {
   ++g_failures;
 }
 
+std::vector<uint8_t> StubBytes(const CompiledStub& stub) {
+  const auto* code = reinterpret_cast<const uint8_t*>(
+      reinterpret_cast<const void*>(stub.entry()));
+  return std::vector<uint8_t>(code, code + stub.code_size());
+}
+
+// The same shape with every callee and closure moved elsewhere.
+StubSpec Retargeted(StubSpec spec) {
+  auto move = [](CallableSpec& c) {
+    if (c.fn != nullptr) {
+      c.fn = reinterpret_cast<void*>(reinterpret_cast<uintptr_t>(c.fn) ^
+                                     0x0f0f0f0f0f0f0ff0ull);
+    }
+    c.closure = reinterpret_cast<void*>(
+        reinterpret_cast<uintptr_t>(c.closure) ^ 0x7070707070707070ull);
+  };
+  for (BindingSpec& b : spec.bindings) {
+    for (CallableSpec& g : b.guards) {
+      move(g);
+    }
+    move(b.handler);
+  }
+  return spec;
+}
+
 void AddStub(std::vector<GoldenCase>& cases, const std::string& name,
              const StubSpec& spec) {
   std::string why;
@@ -71,13 +102,23 @@ void AddStub(std::vector<GoldenCase>& cases, const std::string& name,
     return;
   }
   std::unique_ptr<CompiledStub> stub = CompileStub(spec);
-  if (stub == nullptr) {
+  const StubSpec other = Retargeted(spec);
+  std::unique_ptr<CompiledStub> again = CompileStub(other);
+  if (stub == nullptr || again == nullptr) {
     Fail(name + ": CompileStub returned nullptr");
     return;
   }
-  const auto* code = reinterpret_cast<const uint8_t*>(
-      reinterpret_cast<const void*>(stub->entry()));
-  std::vector<uint8_t> bytes(code, code + stub->code_size());
+  std::vector<uint8_t> bytes = StubBytes(*stub);
+  if (StubBytes(*again) != bytes) {
+    Fail(name + ": other callees and closures changed the emitted bytes");
+  }
+  if (!(StubKey(other) == StubKey(spec))) {
+    Fail(name + ": other callees and closures changed the StubKey");
+  }
+  const std::vector<uint64_t> operands = StubOperands(spec);
+  if (!operands.empty() && StubOperands(other) == operands) {
+    Fail(name + ": other callees and closures left the operands equal");
+  }
   cases.push_back({name, std::move(bytes)});
 }
 
@@ -188,6 +229,22 @@ std::vector<GoldenCase> BuildCorpus() {
     b.handler = Native(kHandlerAddr);
     spec.bindings.push_back(b);
     AddStub(cases, "stub_closure_guard", spec);
+  }
+  {
+    // An inlined micro guard whose closure is its argument 0: the closure
+    // is loaded from the operand array, and the guard makes no call.
+    StubSpec spec;
+    spec.num_args = 1;
+    BindingSpec b;
+    CallableSpec guard;
+    Program prog = ArgEqGuard();
+    guard.prog = &prog;
+    guard.closure = reinterpret_cast<void*>(kClosureAddr);
+    guard.closure_form = true;
+    b.guards.push_back(guard);
+    b.handler = Native(kHandlerAddr);
+    spec.bindings.push_back(b);
+    AddStub(cases, "stub_inline_closure_guard", spec);
   }
   {
     StubSpec spec;

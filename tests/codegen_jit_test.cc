@@ -41,6 +41,13 @@ std::string Listing(const CompiledStub& stub) {
   return listing;
 }
 
+// Runs `stub` with the operands of `spec`.
+void CallStub(const CompiledStub& stub, const StubSpec& spec,
+              RaiseFrame& frame) {
+  std::vector<uint64_t> operands = StubOperands(spec);
+  stub.entry()(&frame, operands.data());
+}
+
 uint64_t CallMicro(const CompiledMicro& compiled, const uint64_t* args,
                    int n) {
   switch (n) {
@@ -258,7 +265,7 @@ TEST_F(JitTest, StubCallsHandlerWithArgs) {
   RaiseFrame frame;
   frame.args[0] = 30;
   frame.args[1] = 12;
-  stub->entry()(&frame);
+  CallStub(*stub, spec, frame);
   EXPECT_EQ(frame.fired, 1u);
   EXPECT_EQ(frame.result, 42u);
   EXPECT_EQ(g_log.handler_calls, 1);
@@ -284,7 +291,7 @@ TEST_F(JitTest, StubGuardGatesHandler) {
   RaiseFrame frame;
   frame.args[0] = 1;
   frame.args[1] = 2;
-  stub->entry()(&frame);
+  CallStub(*stub, spec, frame);
   EXPECT_EQ(frame.fired, 1u);
   EXPECT_EQ(g_log.guard_calls, 2);
   EXPECT_EQ(g_log.handler_calls, 1);
@@ -307,7 +314,7 @@ TEST_F(JitTest, StubClosurePassing) {
   RaiseFrame frame;
   frame.args[0] = 1;
   frame.args[1] = 2;
-  stub->entry()(&frame);
+  CallStub(*stub, spec, frame);
   EXPECT_EQ(frame.result, 103u);
 }
 
@@ -328,7 +335,7 @@ TEST_F(JitTest, StubFilterByRefMutatesSlot) {
   RaiseFrame frame;
   frame.args[0] = 21;
   frame.args[1] = 0;
-  stub->entry()(&frame);
+  CallStub(*stub, spec, frame);
   EXPECT_EQ(frame.args[0], 42u) << "filter writes through the slot pointer";
   EXPECT_EQ(g_log.last_a, 42u) << "downstream handler sees the new value";
   EXPECT_EQ(frame.fired, 2u);
@@ -362,7 +369,7 @@ TEST_F(JitTest, ResultPolicies) {
     frame.args[0] = 2;
     frame.args[1] = 3;
     frame.result = c.init;
-    stub->entry()(&frame);
+    CallStub(*stub, spec, frame);
     EXPECT_EQ(frame.result, c.want)
         << "policy " << static_cast<int>(c.policy);
     EXPECT_EQ(frame.fired, 2u);
@@ -384,11 +391,11 @@ TEST_F(JitTest, BoolResultNormalized) {
   RaiseFrame frame;
   frame.args[0] = 0;  // handler returns false
   frame.args[1] = 0xdeadbeefcafebabe;
-  stub->entry()(&frame);
+  CallStub(*stub, spec, frame);
   EXPECT_EQ(frame.result, 0u);
   frame = {};
   frame.args[0] = 7;
-  stub->entry()(&frame);
+  CallStub(*stub, spec, frame);
   EXPECT_EQ(frame.result, 1u);
 }
 
@@ -410,12 +417,12 @@ TEST_F(JitTest, InlinedMicroGuardAndHandler) {
   EXPECT_EQ(Listing(*stub).find("call"), std::string::npos);
 
   RaiseFrame frame;
-  stub->entry()(&frame);
+  CallStub(*stub, spec, frame);
   EXPECT_EQ(counter, 1u);
   EXPECT_EQ(frame.fired, 1u);
   gate = 0;
   frame = {};
-  stub->entry()(&frame);
+  CallStub(*stub, spec, frame);
   EXPECT_EQ(counter, 1u);
   EXPECT_EQ(frame.fired, 0u);
 }
@@ -439,7 +446,7 @@ TEST_F(JitTest, InliningDisabledFallsBackToCalls) {
   ASSERT_NE(stub, nullptr);
   EXPECT_NE(Listing(*stub).find("call"), std::string::npos);
   RaiseFrame frame;
-  stub->entry()(&frame);
+  CallStub(*stub, spec, frame);
   EXPECT_EQ(frame.fired, 1u);
 }
 
@@ -482,7 +489,7 @@ TEST_F(JitTest, FiftyBindingsUnrolled) {
   RaiseFrame frame;
   frame.args[0] = 1;
   frame.args[1] = 1;
-  stub->entry()(&frame);
+  CallStub(*stub, spec, frame);
   EXPECT_EQ(frame.fired, 50u);
   EXPECT_EQ(frame.result, 100u);
   EXPECT_EQ(g_log.handler_calls, 50);
@@ -519,9 +526,195 @@ TEST_F(JitTest, PeepholeShrinksStub) {
   for (const auto* stub : {unoptimized.get(), optimized.get()}) {
     RaiseFrame frame;
     frame.args[0] = reinterpret_cast<uintptr_t>(&header);
-    stub->entry()(&frame);
+    CallStub(*stub, spec, frame);
     EXPECT_EQ(frame.fired, 0u);
   }
+}
+
+// --- Shape keys and operands ------------------------------------------------
+
+uint64_t HandlerPlusTen(void* closure, uint64_t a, uint64_t b) {
+  ++g_log.handler_calls;
+  return a + b + 10 * *static_cast<uint64_t*>(closure);
+}
+
+// Closure-form micro guard: admits when the event's first argument equals
+// the word the closure points at.
+Program ClosureArgEq() {
+  return std::move(ProgramBuilder(3, /*functional=*/true)
+                       .LoadArg(0, 0)
+                       .LoadField(0, 0, 0, 8)
+                       .LoadArg(1, 1)
+                       .CmpEq(2, 0, 1)
+                       .Ret(2))
+      .Build();
+}
+
+TEST_F(JitTest, OneStubRunsTheTargetsOfItsOperands) {
+  // Two specs of one shape — a closure-form inline guard and a closure
+  // handler — with different closures and handlers. The stub compiled for
+  // the first runs the second's targets when given its operands.
+  Program guard = ClosureArgEq();
+  uint64_t want_a = 5, want_b = 6;
+  uint64_t closure_a = 1, closure_b = 2;
+  auto spec_for = [&](uint64_t* want, uint64_t* closure, void* handler) {
+    StubSpec spec;
+    spec.num_args = 2;
+    spec.policy = ResultPolicy::kLast;
+    BindingSpec binding;
+    binding.guards.push_back(
+        {.closure = want, .closure_form = true, .prog = &guard});
+    binding.handler = {.fn = handler, .closure = closure,
+                       .closure_form = true};
+    spec.bindings = {binding};
+    return spec;
+  };
+  const StubSpec a = spec_for(&want_a, &closure_a,
+                              reinterpret_cast<void*>(&HandlerWithClosure));
+  const StubSpec b = spec_for(&want_b, &closure_b,
+                              reinterpret_cast<void*>(&HandlerPlusTen));
+  ASSERT_TRUE(StubKey(a) == StubKey(b));
+  auto stub = CompileStub(a);
+  ASSERT_NE(stub, nullptr);
+
+  RaiseFrame frame;
+  frame.args[0] = 5;
+  frame.args[1] = 1;
+  CallStub(*stub, a, frame);
+  EXPECT_EQ(frame.fired, 1u);
+  EXPECT_EQ(frame.result, 5u + 1 + 1);
+  frame = {};
+  frame.args[0] = 5;
+  frame.args[1] = 1;
+  CallStub(*stub, b, frame);
+  EXPECT_EQ(frame.fired, 0u) << "b's guard wants 6";
+  frame = {};
+  frame.args[0] = 6;
+  frame.args[1] = 1;
+  CallStub(*stub, b, frame);
+  EXPECT_EQ(frame.fired, 1u);
+  EXPECT_EQ(frame.result, 6u + 1 + 10 * 2);
+}
+
+TEST_F(JitTest, StubKeyCoversEveryFieldThatDecidesTheCode) {
+  Program eq7 = micro::GuardArgFieldEq(2, 0, 0, 8, ~0ull, 7);
+  Program eq8 = micro::GuardArgFieldEq(2, 0, 0, 8, ~0ull, 8);
+  Program ne7 = std::move(ProgramBuilder(2, /*functional=*/true)
+                              .LoadArg(0, 0)
+                              .LoadField(0, 0, 0, 8)
+                              .LoadImm(1, 7)
+                              .CmpNe(2, 0, 1)
+                              .Ret(2))
+                    .Build();
+  Program add = std::move(ProgramBuilder(2, /*functional=*/false)
+                              .LoadArg(0, 0)
+                              .LoadArg(1, 1)
+                              .Add(2, 0, 1)
+                              .Ret(2))
+                    .Build();
+  uint64_t closure = 3;
+  auto base = [&] {
+    StubSpec spec;
+    spec.num_args = 2;
+    spec.policy = ResultPolicy::kLast;
+    BindingSpec first;
+    first.guards.push_back({.fn = reinterpret_cast<void*>(&GuardTrue)});
+    first.guards.push_back({.prog = &eq7});
+    first.handler.fn = reinterpret_cast<void*>(&FilterDouble);
+    first.byref_params = {0};
+    BindingSpec second;
+    second.handler = {.fn = reinterpret_cast<void*>(&HandlerWithClosure),
+                      .closure = &closure, .closure_form = true};
+    BindingSpec third;
+    third.handler.prog = &add;
+    spec.bindings = {first, second, third};
+    return spec;
+  };
+  const StubKey key(base());
+
+  // Targets and closures are operands, not shape.
+  {
+    uint64_t other_closure = 4;
+    StubSpec spec = base();
+    spec.bindings[0].guards[0].fn = reinterpret_cast<void*>(&GuardFalse);
+    spec.bindings[0].handler.fn = reinterpret_cast<void*>(&Handler2);
+    spec.bindings[1].handler.closure = &other_closure;
+    EXPECT_TRUE(StubKey(spec) == key);
+    EXPECT_NE(StubOperands(spec), StubOperands(base()));
+  }
+
+  auto expect_new_shape = [&](const char* what, auto mutate) {
+    StubSpec spec = base();
+    mutate(spec);
+    EXPECT_FALSE(StubKey(spec) == key) << what;
+  };
+  expect_new_shape("guard form", [&](StubSpec& s) {
+    s.bindings[0].guards[0] = {.prog = &eq7};
+  });
+  expect_new_shape("guard closure form", [&](StubSpec& s) {
+    s.bindings[0].guards[0].closure_form = true;
+  });
+  expect_new_shape("handler closure form", [&](StubSpec& s) {
+    s.bindings[1].handler.closure_form = false;
+  });
+  expect_new_shape("inline opcode",
+                   [&](StubSpec& s) { s.bindings[0].guards[1].prog = &ne7; });
+  expect_new_shape("inline immediate",
+                   [&](StubSpec& s) { s.bindings[0].guards[1].prog = &eq8; });
+  expect_new_shape("by-ref list",
+                   [&](StubSpec& s) { s.bindings[0].byref_params = {1}; });
+  expect_new_shape("no by-ref",
+                   [&](StubSpec& s) { s.bindings[0].byref_params.clear(); });
+  expect_new_shape("policy",
+                   [&](StubSpec& s) { s.policy = ResultPolicy::kSum; });
+  expect_new_shape("result_is_bool",
+                   [&](StubSpec& s) { s.result_is_bool = true; });
+  expect_new_shape("optimize", [&](StubSpec& s) { s.optimize = false; });
+  expect_new_shape("inline_micro",
+                   [&](StubSpec& s) { s.inline_micro = false; });
+  expect_new_shape("arity", [&](StubSpec& s) { s.num_args = 3; });
+  expect_new_shape("one guard fewer", [&](StubSpec& s) {
+    s.bindings[0].guards.pop_back();
+  });
+  expect_new_shape("binding order", [&](StubSpec& s) {
+    std::swap(s.bindings[1], s.bindings[2]);
+  });
+
+  // The tree's field and constants.
+  auto tree_base = [&] {
+    StubSpec spec;
+    spec.num_args = 1;
+    for (int i = 0; i < 4; ++i) {
+      BindingSpec b;
+      b.handler.fn = reinterpret_cast<void*>(&Handler2);
+      spec.bindings.push_back(b);
+    }
+    StubTree tree;
+    tree.offset = 8;
+    tree.width = 4;
+    tree.cases = {TreeCase{1, 3}, TreeCase{2, 0}, TreeCase{3, 1},
+                  TreeCase{4, 2}};
+    spec.tree = tree;
+    return spec;
+  };
+  const StubKey tree_key(tree_base());
+  EXPECT_FALSE(tree_key == StubKey([&] {
+    StubSpec s = tree_base();
+    s.tree.reset();
+    return s;
+  }()));
+  auto expect_new_tree = [&](const char* what, auto mutate) {
+    StubSpec spec = tree_base();
+    mutate(*spec.tree);
+    EXPECT_FALSE(StubKey(spec) == tree_key) << what;
+  };
+  expect_new_tree("tree constant", [](StubTree& t) { t.cases[3].value = 9; });
+  expect_new_tree("tree case order", [](StubTree& t) {
+    std::swap(t.cases[0].binding_index, t.cases[1].binding_index);
+  });
+  expect_new_tree("tree offset", [](StubTree& t) { t.offset = 16; });
+  expect_new_tree("tree width", [](StubTree& t) { t.width = 8; });
+  expect_new_tree("tree mask", [](StubTree& t) { t.mask = 0xff; });
 }
 
 }  // namespace

@@ -330,6 +330,82 @@ TEST(ConcurrencyTest, RaiserNeverSeesAGuardedInstallWithoutItsGuard) {
   }
 }
 
+struct FireCounter {
+  std::atomic<uint64_t> fires{0};
+};
+
+int64_t CountFire(FireCounter* counter, int64_t a, int64_t) {
+  counter->fires.fetch_add(1, std::memory_order_relaxed);
+  return a;
+}
+
+TEST(ConcurrencyTest, SharedStubOutlivesAnyOneOfItsTables) {
+  // One thread churns an event between two shapes that two other events
+  // keep live, while other threads raise those two. Every generation of
+  // the churned event runs a stub it shares with a table it does not own,
+  // and that stub keeps serving the other event after each churned table
+  // is reclaimed.
+  constexpr int kRounds = 2000;
+  constexpr int kRaisers = 2;
+  Module module("SharedStub");
+  Dispatcher dispatcher(EagerConfig());
+  using Sig = int64_t(int64_t, int64_t);
+  Event<Sig> churned("SharedStub.Churned", &module, nullptr, &dispatcher);
+  Event<Sig> one("SharedStub.One", &module, nullptr, &dispatcher);
+  Event<Sig> two("SharedStub.Two", &module, nullptr, &dispatcher);
+  FireCounter anchor, extra, one_only, two_first, two_second;
+  dispatcher.InstallHandler(churned, &CountFire, &anchor, {.module = &module});
+  dispatcher.InstallHandler(one, &CountFire, &one_only, {.module = &module});
+  dispatcher.InstallHandler(two, &CountFire, &two_first, {.module = &module});
+  dispatcher.InstallHandler(two, &CountFire, &two_second,
+                            {.module = &module});
+  const uint64_t compiles = dispatcher.stats().stub_compiles;
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> raising{0};
+  std::atomic<uint64_t> one_raises{0};
+  std::atomic<uint64_t> two_raises{0};
+  std::vector<std::thread> raisers;
+  for (int t = 0; t < kRaisers; ++t) {
+    raisers.emplace_back([&, t] {
+      for (bool first = true; !stop.load(std::memory_order_relaxed);
+           first = false) {
+        EXPECT_EQ(one.Raise(t, 0), t);
+        one_raises.fetch_add(1, std::memory_order_relaxed);
+        EXPECT_EQ(two.Raise(t, 0), t);
+        two_raises.fetch_add(1, std::memory_order_relaxed);
+        if (first) {
+          raising.fetch_add(1);
+        }
+      }
+    });
+  }
+  while (raising.load() < kRaisers) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < kRounds; ++i) {
+    auto binding = dispatcher.InstallHandler(churned, &CountFire, &extra,
+                                             {.module = &module});
+    EXPECT_EQ(churned.Raise(i, 0), i);
+    dispatcher.Uninstall(binding, &module);
+    EXPECT_EQ(churned.Raise(i, 0), i);
+  }
+  stop.store(true);
+  for (std::thread& t : raisers) {
+    t.join();
+  }
+
+  // The shadow: every raise ran exactly its own event's handlers.
+  EXPECT_EQ(anchor.fires.load(), 2u * kRounds);
+  EXPECT_EQ(extra.fires.load(), 1u * kRounds);
+  EXPECT_EQ(one_only.fires.load(), one_raises.load());
+  EXPECT_EQ(two_first.fires.load(), two_raises.load());
+  EXPECT_EQ(two_second.fires.load(), two_raises.load());
+  EXPECT_EQ(dispatcher.stats().stub_compiles, compiles)
+      << "both churned shapes stay live on the other events";
+  dispatcher.epoch().Synchronize();
+}
+
 TEST(ConcurrencyTest, ConcurrentRaisesOnManyEvents) {
   Module module("Many");
   Dispatcher dispatcher;

@@ -4,6 +4,9 @@
 // hot). Every behaviour must be identical across engines — the paper's
 // stub is a specialization of the interpreter's semantics.
 #include <atomic>
+#include <cstddef>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -645,6 +648,172 @@ TEST_P(DispatchTest, DoubleParametersDispatchViaInterpreter) {
   dispatcher_.InstallLambda(event, [](double a, double b) { return a * b; },
                             {.module = &module_});
   EXPECT_DOUBLE_EQ(event.Raise(2.5, 4.0), 10.0);
+}
+
+// --- Shape-shared stubs ------------------------------------------------------
+// A stub reads its targets from its table's operands, so events of one
+// shape share one compiled stub and each still runs its own handlers.
+
+template <int K>
+int64_t AddToFirst(int64_t& a, int64_t) {
+  a += K;
+  return 0;
+}
+
+bool AtLeast(Closure* floor, int64_t a, int64_t) { return a >= floor->bias; }
+
+// A closure-form micro guard: admits when the (filtered) first argument
+// equals the closure's bias.
+GuardClause FirstArgIsClosureBias(Closure* closure) {
+  GuardClause guard = MakeMicroGuard(
+      std::move(micro::ProgramBuilder(/*num_args=*/3, /*functional=*/true)
+                    .LoadArg(0, 0)
+                    .LoadField(0, 0, offsetof(Closure, bias), 8)
+                    .LoadArg(1, 1)
+                    .CmpEq(2, 0, 1)
+                    .Ret(2))
+          .Build());
+  guard.closure = closure;
+  guard.closure_form = true;
+  return guard;
+}
+
+struct PortHeader {
+  uint64_t port;
+};
+
+int64_t PortHandler(Closure* closure, PortHeader*, int64_t b) {
+  return closure->bias + b;
+}
+
+TEST_P(DispatchTest, EventsOfOneShapeShareOneStub) {
+  const bool eager_jit =
+      (GetParam() == Engine::kJit || GetParam() == Engine::kJitNoInline) &&
+      codegen::CodegenAvailable();
+  dispatcher_.epoch().Synchronize();
+  const size_t mapped_at_start = codegen::CodeBuffer::TotalMappedBytes();
+  {
+    using Sig = int64_t(int64_t, int64_t);
+    constexpr int kEvents = 3;
+    std::vector<std::unique_ptr<Event<Sig>>> events;
+    Closure floor[kEvents], bias[kEvents], want[kEvents], bias2[kEvents];
+    for (int k = 0; k < kEvents; ++k) {
+      events.push_back(std::make_unique<Event<Sig>>(
+          "Test.Shape" + std::to_string(k), &module_, nullptr, &dispatcher_));
+      dispatcher_.SetResultPolicy(*events[k], ResultPolicy::kSum, &module_);
+      floor[k] = {k};
+      bias[k] = {100 * (k + 1)};
+      want[k] = {10 + k};
+      bias2[k] = {1000 * (k + 1)};
+    }
+    int64_t (*const filters[kEvents])(int64_t&, int64_t) = {
+        &AddToFirst<1>, &AddToFirst<2>, &AddToFirst<3>};
+    // The events change in lockstep, so each generation's shape is live on
+    // the first event when the others reach it: one compile per step.
+    const std::vector<std::function<void(int)>> steps = {
+        [&](int k) {
+          dispatcher_.InstallFilter(*events[k], filters[k],
+                                    {.module = &module_});
+        },
+        [&](int k) {
+          dispatcher_.InstallHandler(
+              *events[k], &AddWithBias, &bias[k],
+              {.guards = {MakeGuard(&AtLeast, &floor[k])},
+               .module = &module_});
+        },
+        [&](int k) {
+          dispatcher_.InstallHandler(
+              *events[k], &AddWithBias, &bias2[k],
+              {.guards = {FirstArgIsClosureBias(&want[k])},
+               .module = &module_});
+        },
+    };
+    for (const auto& step : steps) {
+      const uint64_t compiles = dispatcher_.stats().stub_compiles;
+      for (int k = 0; k < kEvents; ++k) {
+        step(k);
+      }
+      if (eager_jit) {
+        EXPECT_EQ(dispatcher_.stats().stub_compiles, compiles + 1);
+      }
+    }
+    for (int k = 0; k < kEvents; ++k) {
+      if (eager_jit) {
+        EXPECT_NE(dispatcher_.Describe(*events[k]).find("generated stub"),
+                  std::string::npos);
+      }
+      for (int64_t a = -2; a <= 14; ++a) {
+        const int64_t filtered = a + k + 1;
+        int64_t expected = 0;
+        if (filtered >= floor[k].bias) {
+          expected += filtered + 5 + bias[k].bias;
+        }
+        if (filtered == want[k].bias) {
+          expected += filtered + 5 + bias2[k].bias;
+        }
+        EXPECT_EQ(events[k]->Raise(a, 5), expected)
+            << "event " << k << " a=" << a;
+      }
+    }
+
+    // A shape no live table has compiles; the next event to reach it
+    // shares the stub.
+    const uint64_t compiles = dispatcher_.stats().stub_compiles;
+    dispatcher_.InstallHandler(*events[0], &Mul, {.module = &module_});
+    dispatcher_.InstallHandler(*events[1], &Add, {.module = &module_});
+    if (eager_jit) {
+      EXPECT_EQ(dispatcher_.stats().stub_compiles, compiles + 1);
+    }
+    EXPECT_EQ(events[0]->Raise(-10, 3), (-10 + 1) * 3);
+    EXPECT_EQ(events[1]->Raise(-10, 3), (-10 + 2) + 3);
+
+    // A guard decision tree: the tree's field and constants are shape,
+    // the handlers' closures are operands.
+    Dispatcher::Config config = MakeConfig();
+    config.guard_tree = true;
+    Dispatcher tree_dispatcher(config);
+    using PortSig = int64_t(PortHeader*, int64_t);
+    std::vector<std::unique_ptr<Event<PortSig>>> ports;
+    Closure port_bias[kEvents][4];
+    for (int k = 0; k < kEvents; ++k) {
+      ports.push_back(std::make_unique<Event<PortSig>>(
+          "Test.Ports" + std::to_string(k), &module_, nullptr,
+          &tree_dispatcher));
+    }
+    for (int i = 0; i < 4; ++i) {
+      const uint64_t compiles_before = tree_dispatcher.stats().stub_compiles;
+      for (int k = 0; k < kEvents; ++k) {
+        port_bias[k][i] = {100 * k + i};
+        tree_dispatcher.InstallHandler(
+            *ports[k], &PortHandler, &port_bias[k][i],
+            {.guards = {MakeMicroGuard(micro::GuardArgFieldEq(
+                 2, 0, offsetof(PortHeader, port), 8, ~0ull,
+                 static_cast<uint64_t>(80 + i)))},
+             .module = &module_});
+      }
+      if (eager_jit) {
+        EXPECT_EQ(tree_dispatcher.stats().stub_compiles, compiles_before + 1);
+      }
+    }
+    if (eager_jit) {
+      EXPECT_EQ(tree_dispatcher.stats().tree_tables, 1u * kEvents);
+    }
+    for (int k = 0; k < kEvents; ++k) {
+      for (uint64_t port = 78; port < 86; ++port) {
+        PortHeader header{port};
+        if (port >= 80 && port < 84) {
+          EXPECT_EQ(ports[k]->Raise(&header, 7),
+                    port_bias[k][port - 80].bias + 7)
+              << "event " << k << " port " << port;
+        } else {
+          EXPECT_THROW(ports[k]->Raise(&header, 7), NoHandlerError);
+        }
+      }
+    }
+  }
+  // Every stub's code is freed once the epoch reclaims its last table.
+  dispatcher_.epoch().Synchronize();
+  EXPECT_EQ(codegen::CodeBuffer::TotalMappedBytes(), mapped_at_start);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, DispatchTest,
