@@ -1,5 +1,7 @@
 #include "src/net/host.h"
 
+#include <algorithm>
+#include <cstring>
 #include <optional>
 #include <ostream>
 
@@ -81,6 +83,7 @@ bool Wire::ShouldDrop(const Packet& packet) {
 
 void Wire::Send(Host& from, const Packet& packet) {
   SPIN_ASSERT(a_ != nullptr && b_ != nullptr);
+  SPIN_ASSERT(packet.len <= kMaxFrame);
   Host* to = &from == a_ ? b_ : a_;
   bytes_ += packet.len;
   uint64_t start = std::max(sim_->now_ns(), busy_until_ns_);
@@ -91,8 +94,43 @@ void Wire::Send(Host& from, const Packet& packet) {
     ++lost_;
     return;  // the frame burned airtime but never arrives
   }
+  // Two pointers: std::function keeps the closure inline, off the heap.
+  Frame* frame = TakeFrame(packet);
   sim_->At(done + model_.propagation_ns,
-           [to, packet] { to->Receive(packet); });
+           [to, frame] { Deliver(to, frame); });
+}
+
+Wire::Frame* Wire::TakeFrame(const Packet& packet) {
+  Frame* frame;
+  if (idle_frames_.empty()) {
+    frames_.push_back(std::make_unique<Frame>(Frame{.wire = this}));
+    frame = frames_.back().get();
+  } else {
+    frame = idle_frames_.back();
+    idle_frames_.pop_back();
+  }
+  std::memcpy(frame->packet.data, packet.data, packet.len);
+  if (frame->dirty > packet.len) {
+    std::memset(frame->packet.data + packet.len, 0,
+                frame->dirty - packet.len);
+  }
+  frame->packet.len = packet.len;
+  frame->dirty = packet.len;
+  return frame;
+}
+
+void Wire::Deliver(Host* to, Frame* frame) {
+  // Back to the idle list when the raise chain returns or throws. A handler
+  // may have rewritten the frame in place, up to its final len.
+  struct Reclaim {
+    Frame* frame;
+    ~Reclaim() {
+      frame->dirty = std::min<uint32_t>(
+          std::max(frame->dirty, frame->packet.len), kMaxFrame);
+      frame->wire->idle_frames_.push_back(frame);
+    }
+  } reclaim{frame};
+  to->Deliver(&frame->packet);
 }
 
 Host::Host(std::string name, uint32_t ip, Dispatcher* dispatcher)
@@ -233,14 +271,15 @@ bool Host::WireTransmit(Host* host, Packet* packet) {
   return true;
 }
 
-void Host::Transmit(const Packet& packet) {
-  // By-value copy into the event frame: interposed handlers may rewrite
-  // the frame without disturbing the caller's packet.
-  Packet outbound = packet;
-  (void)EtherPacketSend.Raise(&outbound);
+void Host::Transmit(const Packet& packet) { Transmit(Packet(packet)); }
+
+void Host::Transmit(Packet&& packet) {
+  (void)EtherPacketSend.Raise(&packet);
 }
 
-void Host::Receive(Packet packet) {
+void Host::Receive(Packet packet) { Deliver(&packet); }
+
+void Host::Deliver(Packet* packet) {
   ++rx_;
   // Everything the delivery triggers — the packet-event chain, socket
   // callbacks, an Exporter dispatch — is this host's work; stamp its trace
@@ -250,7 +289,7 @@ void Host::Receive(Packet packet) {
   if (obs::Enabled()) {
     host_scope.emplace(trace_host_id_);
   }
-  (void)EtherPacketArrived.Raise(&packet);
+  (void)EtherPacketArrived.Raise(packet);
 }
 
 UdpSocket::UdpSocket(Host& host, uint16_t port, ReceiveFn on_receive)

@@ -16,6 +16,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/dispatcher.h"
 #include "src/net/packet.h"
@@ -28,6 +29,14 @@ class Host;
 struct TcpConn;  // src/net/stacks/tcp_stack.h
 
 // A point-to-point link between two hosts, timed by the simulator.
+//
+// Frames: Send copies the sender's `len` bytes into a frame the wire owns
+// and reuses from an idle list, so a warm wire allocates nothing per frame.
+// The simulator entry holds only {destination host, frame}; the destination
+// raises its event chain on the frame in place, and the wire takes the
+// frame back when that raise returns. Bytes past `len` are zero, as in a
+// zero-initialised Packet. Frames in flight die with the wire: destroy a
+// wire only when the simulator will not run its deliveries again.
 //
 // Failure injection: four independent mechanisms decide whether a frame
 // that has already burned its airtime actually arrives — a deterministic
@@ -76,7 +85,15 @@ class Wire {
   const sim::LinkModel& model() const { return model_; }
 
  private:
+  struct Frame {
+    Wire* wire;
+    Packet packet;
+    uint32_t dirty = 0;  // bytes at and past this offset are zero
+  };
+
   bool ShouldDrop(const Packet& packet);
+  Frame* TakeFrame(const Packet& packet);
+  static void Deliver(Host* to, Frame* frame);
 
   sim::Simulator* sim_;
   sim::LinkModel model_;
@@ -95,6 +112,8 @@ class Wire {
   // cannot begin before frame n has left the wire (keeps delivery in FIFO
   // order, as on the paper's shared 10 Mb/s Ethernet).
   uint64_t busy_until_ns_ = 0;
+  std::vector<std::unique_ptr<Frame>> frames_;  // every frame, idle or not
+  std::vector<Frame*> idle_frames_;
 };
 
 class Host {
@@ -148,10 +167,15 @@ class Host {
   void AttachWire(Wire* wire) { wire_ = wire; }
   Wire* wire() const { return wire_; }
 
-  // Transmit onto the attached wire.
+  // Transmit onto the attached wire: raises Ether.PacketSend on the frame.
+  // The lvalue form raises a copy, so a handler that rewrites the frame
+  // leaves the caller's packet alone; the rvalue form raises the caller's
+  // temporary in place.
   void Transmit(const Packet& packet);
+  void Transmit(Packet&& packet);
 
-  // Wire delivery entry: raises the Ethernet event chain synchronously.
+  // Delivery entry for a packet from outside the wire (tests, benches):
+  // raises the Ethernet event chain synchronously on a copy.
   void Receive(Packet packet);
 
   uint64_t rx_packets() const { return rx_; }
@@ -166,6 +190,12 @@ class Host {
   const BindingHandle& transmit_binding() const { return transmit_binding_; }
 
  private:
+  friend class Wire;
+
+  // Raises the Ethernet event chain on `packet` in place. The pointer is
+  // valid only during the raise.
+  void Deliver(Packet* packet);
+
   static bool IpInput(Host* host, Packet* packet);
   static bool UdpInput(Host* host, Packet* packet);
   static bool TcpInput(Host* host, Packet* packet);

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace spin {
@@ -82,9 +83,15 @@ struct Packet {
   uint32_t tcp_ack() const { return Get32(kTcpAckOff); }
   uint8_t tcp_flags() const { return data[kTcpFlagsOff]; }
 
-  std::string UdpPayload() const {
-    return std::string(reinterpret_cast<const char*>(data + kUdpPayloadOff),
-                       len - kUdpPayloadOff);
+  std::string UdpPayload() const { return std::string(UdpPayloadView()); }
+  // The payload in place: valid while the packet is (for a delivered frame,
+  // during its raise). Empty for a frame too short to hold a UDP header.
+  std::string_view UdpPayloadView() const {
+    return len < kUdpPayloadOff
+               ? std::string_view()
+               : std::string_view(
+                     reinterpret_cast<const char*>(data + kUdpPayloadOff),
+                     len - kUdpPayloadOff);
   }
   std::string TcpPayload() const {
     return std::string(reinterpret_cast<const char*>(data + kTcpPayloadOff),

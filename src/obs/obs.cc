@@ -1,6 +1,9 @@
 #include "src/obs/obs.h"
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 
 namespace spin {
@@ -32,15 +35,33 @@ TraceConfig GetTraceConfig() {
   return config;
 }
 
+namespace {
+
+// Lets the intern table find a std::string_view without building a
+// std::string for it.
+struct InternHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+}  // namespace
+
 const char* Intern(std::string_view s) {
   static std::atomic_flag lock = ATOMIC_FLAG_INIT;
   // Node-based: iterators/pointers into the set stay valid across inserts.
-  static auto* table = new std::unordered_set<std::string>();
+  static auto* table =
+      new std::unordered_set<std::string, InternHash, std::equal_to<>>();
   while (lock.test_and_set(std::memory_order_acquire)) {
   }
-  const std::string& interned = *table->emplace(s).first;
+  // Look up first: a known name allocates nothing.
+  auto it = table->find(s);
+  if (it == table->end()) {
+    it = table->emplace(s).first;
+  }
   lock.clear(std::memory_order_release);
-  return interned.c_str();
+  return it->c_str();
 }
 
 const char* DispatchKindName(DispatchKind kind) {

@@ -1,5 +1,6 @@
 #include "src/remote/exporter.h"
 
+#include <algorithm>
 #include <exception>
 #include <optional>
 #include <ostream>
@@ -20,7 +21,8 @@ Exporter::Exporter(net::Host& host, uint16_t port)
       port_(port),
       // Deterministic per (host, port): chaos tests replay token streams.
       token_rng_(0x53504541ull ^ (static_cast<uint64_t>(host.ip()) << 16) ^
-                 port) {
+                 port),
+      replay_ring_(kDedupWindow) {
   socket_ = std::make_unique<net::UdpSocket>(
       host_, port_,
       [this](const net::Packet& packet) { OnDatagram(packet); });
@@ -84,55 +86,27 @@ uint64_t Exporter::MintToken() {
 }
 
 void Exporter::OnDatagram(const net::Packet& packet) {
-  std::string payload = packet.UdpPayload();
+  const std::string_view payload = packet.UdpPayloadView();
   MsgType type;
   if (!PeekType(payload, &type) ||
       (type != MsgType::kRequest && type != MsgType::kBindRequest)) {
     ++bad_requests_;
     return;  // not ours, or torn; nothing sane to reply to
   }
-
-  auto replay_cached = [this](const DedupKey& key) -> const std::string* {
-    auto it = replay_.find(key);
-    return it != replay_.end() ? &it->second : nullptr;
-  };
-  auto cache_reply = [this](const DedupKey& key, std::string encoded) {
-    replay_.emplace(key, std::move(encoded));
-    replay_fifo_.push_back(key);
-    while (replay_fifo_.size() > kDedupWindow) {
-      replay_.erase(replay_fifo_.front());
-      replay_fifo_.pop_front();
-    }
-  };
-
   if (type == MsgType::kBindRequest) {
-    BindRequestMsg request;
-    if (!DecodeBindRequest(payload, &request)) {
-      ++bad_requests_;
-      return;
-    }
-    DedupKey key{packet.ip_src(), packet.src_port(),
-                 static_cast<uint8_t>(MsgType::kBindRequest), 0,
-                 request.bind_id};
-    if (const std::string* cached = replay_cached(key)) {
-      // A retransmitted bind replays the original grant: at-most-once
-      // token minting, same as at-most-once dispatch.
-      ++dedup_hits_;
-      obs::FlightRecorder::Global().Emit(obs::TraceKind::kRemoteDedup,
-                                         obs::Intern(request.event_name),
-                                         request.bind_id);
-      socket_->SendTo(packet.ip_src(), packet.src_port(), *cached);
-      return;
-    }
-    BindReplyMsg reply =
-        Bind(request, packet.ip_src(), packet.src_port());
-    std::string encoded = EncodeBindReply(reply);
-    cache_reply(key, encoded);
-    socket_->SendTo(packet.ip_src(), packet.src_port(), encoded);
+    OnBindRequest(packet, payload);
     return;
   }
 
-  RequestMsg request;
+  if (depth_ == work_.size()) {
+    work_.push_back(std::make_unique<Work>());
+  }
+  Work& work = *work_[depth_++];
+  struct Leave {
+    size_t* depth;
+    ~Leave() { --*depth; }
+  } leave{&depth_};
+  RequestMsg& request = work.request;
   if (!DecodeRequest(payload, &request)) {
     ++bad_requests_;
     return;
@@ -164,12 +138,17 @@ void Exporter::OnDatagram(const net::Packet& packet) {
   DedupKey key{packet.ip_src(), packet.src_port(),
                static_cast<uint8_t>(MsgType::kRequest), request.token,
                request.request_id};
-  if (const std::string* cached = replay_cached(key)) {
+  const std::string* cached = Cached(key);
+  // A copy of a request that is still dispatching gets no reply of its
+  // own: the original's reply answers it once the dispatch returns.
+  const bool in_flight =
+      std::find(in_flight_.begin(), in_flight_.end(), key) != in_flight_.end();
+  if (cached != nullptr || in_flight) {
     ++dedup_hits_;
     obs::FlightRecorder::Global().Emit(obs::TraceKind::kRemoteDedup,
                                        obs::Intern(request.event_name),
                                        request.request_id);
-    if (request.kind == RaiseKind::kSync) {
+    if (cached != nullptr && request.kind == RaiseKind::kSync) {
       socket_->SendTo(packet.ip_src(), packet.src_port(), *cached);
     }
     return;  // at-most-once: the event does not raise again
@@ -183,23 +162,78 @@ void Exporter::OnDatagram(const net::Packet& packet) {
       obs::CountCrossHostSpan();
     }
   }
-  std::string encoded;
+  std::string* encoded;
   {
     // Exporter-side dispatch phase: frame materialization, guard
-    // enforcement, the local raise, and the reply encode. Nested under the
-    // proxy's kWire scope when the sim pump runs this inline on the raising
-    // thread, so wire self-time excludes it.
-    obs::PhaseScope dispatch_phase(obs::Phase::kDispatch,
-                                   obs::Intern(request.event_name),
-                                   span_scope.has_value());
-    ReplyMsg reply = Dispatch(request);
-    encoded = EncodeReply(reply);
+    // enforcement, the local raise, and the reply encode into its cache
+    // entry. Nested under the proxy's kWire scope when the sim pump runs
+    // this inline on the raising thread, so wire self-time excludes it.
+    obs::PhaseScope dispatch_phase(
+        obs::Phase::kDispatch,
+        span_scope ? obs::Intern(request.event_name) : nullptr,
+        span_scope.has_value());
+    {
+      in_flight_.push_back(key);
+      struct Landed {
+        std::vector<DedupKey>* in_flight;
+        ~Landed() { in_flight->pop_back(); }
+      } landed{&in_flight_};
+      Dispatch(request, &work.reply);
+    }
+    // Take the cache entry only now: traffic nested in the dispatch could
+    // evict an entry taken before it.
+    encoded = &CacheEntry(key);
+    EncodeReply(work.reply, encoded);
   }
-  cache_reply(key, std::move(encoded));
   if (request.kind == RaiseKind::kSync) {
-    socket_->SendTo(packet.ip_src(), packet.src_port(),
-                    replay_.find(key)->second);
+    socket_->SendTo(packet.ip_src(), packet.src_port(), *encoded);
   }
+}
+
+void Exporter::OnBindRequest(const net::Packet& packet,
+                             std::string_view payload) {
+  BindRequestMsg request;
+  if (!DecodeBindRequest(payload, &request)) {
+    ++bad_requests_;
+    return;
+  }
+  DedupKey key{packet.ip_src(), packet.src_port(),
+               static_cast<uint8_t>(MsgType::kBindRequest), 0,
+               request.bind_id};
+  if (const std::string* cached = Cached(key)) {
+    // A retransmitted bind replays the original grant: at-most-once
+    // token minting, same as at-most-once dispatch.
+    ++dedup_hits_;
+    obs::FlightRecorder::Global().Emit(obs::TraceKind::kRemoteDedup,
+                                       obs::Intern(request.event_name),
+                                       request.bind_id);
+    socket_->SendTo(packet.ip_src(), packet.src_port(), *cached);
+    return;
+  }
+  BindReplyMsg reply = Bind(request, packet.ip_src(), packet.src_port());
+  std::string& encoded = CacheEntry(key);
+  EncodeBindReply(reply, &encoded);
+  socket_->SendTo(packet.ip_src(), packet.src_port(), encoded);
+}
+
+const std::string* Exporter::Cached(const DedupKey& key) const {
+  auto it = replay_.find(key);
+  return it != replay_.end() ? &it->second : nullptr;
+}
+
+std::string& Exporter::CacheEntry(const DedupKey& key) {
+  DedupKey& slot = replay_ring_[replay_next_];
+  replay_next_ = (replay_next_ + 1) % kDedupWindow;
+  if (replay_.size() < kDedupWindow) {
+    slot = key;
+    return replay_.try_emplace(key).first->second;
+  }
+  // Full: the oldest entry leaves, and its node and buffer hold the new
+  // reply, so a full window allocates nothing.
+  ReplayCache::node_type node = replay_.extract(slot);
+  node.key() = key;
+  slot = key;
+  return replay_.insert(std::move(node)).position->second;
 }
 
 BindReplyMsg Exporter::Bind(const BindRequestMsg& request,
@@ -300,47 +334,39 @@ BindReplyMsg Exporter::Bind(const BindRequestMsg& request,
   ++binds_;
   obs::FlightRecorder::Global().Emit(obs::TraceKind::kRemoteBind,
                                      obs::Intern(request.event_name), token);
+  client.entry = &entry;
   bound_.emplace(token, std::move(client));
   reply.status = WireStatus::kOk;
   reply.token = token;
   return reply;
 }
 
-ReplyMsg Exporter::Dispatch(const RequestMsg& request) {
-  ReplyMsg reply;
-  reply.request_id = request.request_id;
+void Exporter::Dispatch(const RequestMsg& request, ReplyMsg* reply) {
+  reply->status = WireStatus::kOk;
+  reply->request_id = request.request_id;
+  reply->result = 0;
+  reply->byref.clear();
+  reply->error.clear();
 
   // Capability first: a withdrawn or revoked binding fails fast with
-  // kRevoked no matter what else the request claims.
+  // kRevoked no matter what else the request claims. A live token reaches
+  // a live export: Unexport revokes every token before the export goes.
   auto bit = bound_.find(request.token);
   if (bit == bound_.end() ||
       bit->second.event_name != request.event_name) {
     ++revoked_raises_;
-    reply.status = WireStatus::kRevoked;
-    reply.error = "stale or unknown capability for " + request.event_name;
-    return reply;
+    reply->status = WireStatus::kRevoked;
+    reply->error = "stale or unknown capability for " + request.event_name;
+    return;
   }
   const BoundClient& client = bit->second;
-
-  auto it = exports_.find(request.event_name);
-  if (it == exports_.end()) {
-    // Defensive: Unexport revokes its tokens, so a live token implies a
-    // live export; raw-wire traffic can still get here.
-    if (withdrawn_.count(request.event_name) != 0) {
-      ++unbound_;
-      reply.status = WireStatus::kUnbound;
-    } else {
-      reply.status = WireStatus::kNoSuchEvent;
-    }
-    return reply;
-  }
-  const Entry& entry = it->second;
+  const Entry& entry = *client.entry;
   if (request.params != entry.plan.params ||
       request.args.size() != entry.plan.params.size()) {
     ++bad_requests_;
-    reply.status = WireStatus::kBadRequest;
-    reply.error = "signature mismatch for " + request.event_name;
-    return reply;
+    reply->status = WireStatus::kBadRequest;
+    reply->error = "signature mismatch for " + request.event_name;
+    return;
   }
 
   // Materialize the frame. VAR parameters point into local copy-in/out
@@ -366,32 +392,30 @@ ReplyMsg Exporter::Dispatch(const RequestMsg& request) {
   if (!EvalGuards(client.binding->guards(),
                   static_cast<int>(entry.plan.params.size()), frame.args)) {
     ++guard_rejected_;
-    reply.status = WireStatus::kGuardRejected;
-    reply.error = "imposed guard rejected raise of " + request.event_name;
-    return reply;
+    reply->status = WireStatus::kGuardRejected;
+    reply->error = "imposed guard rejected raise of " + request.event_name;
+    return;
   }
 
   try {
     entry.event->RaiseErased(frame);
   } catch (const std::exception& e) {
     ++exceptions_;
-    reply.status = WireStatus::kException;
-    reply.error = e.what();
-    return reply;
+    reply->status = WireStatus::kException;
+    reply->error = e.what();
+    return;
   }
 
-  reply.status = WireStatus::kOk;
   if (entry.plan.has_result()) {
-    reply.result = frame.result;
+    reply->result = frame.result;
   }
   for (size_t i = 0; i < entry.plan.params.size(); ++i) {
     const WireParam& p = entry.plan.params[i];
     if (p.by_ref) {
-      reply.byref.push_back(
+      reply->byref.push_back(
           LoadScalar(static_cast<TypeClass>(p.cls), &var_storage[i]));
     }
   }
-  return reply;
 }
 
 void Exporter::ExportMetricsSource(void* ctx, std::ostream& os) {

@@ -35,17 +35,21 @@
 // with its predecessor's replies.
 // Duplicate async requests are simply dropped. The cache is a FIFO window
 // (kDedupWindow entries), sized far beyond any retry budget a proxy can
-// configure.
+// configure; once it is full, a new reply reuses the evicted entry's
+// storage. A copy that arrives while its original is still dispatching
+// (the handler's own sync remote raise pumps the simulator) finds the
+// request in flight and is dropped; the original's reply answers it.
 #ifndef SRC_REMOTE_EXPORTER_H_
 #define SRC_REMOTE_EXPORTER_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <vector>
 
 #include "src/net/host.h"
 #include "src/remote/marshal.h"
@@ -110,6 +114,7 @@ class Exporter {
   // authorizer-imposed guards enforced on every raise it accompanies.
   struct BoundClient {
     std::string event_name;
+    const Entry* entry = nullptr;  // Unexport revokes before it erases
     uint32_t ip = 0;
     uint16_t port = 0;
     std::unique_ptr<Module> module;       // identity for auth callbacks
@@ -121,9 +126,22 @@ class Exporter {
   // predecessor can never answer it. Binds carry token 0; the type byte
   // keeps their id space disjoint from raises.
   using DedupKey = std::tuple<uint32_t, uint16_t, uint8_t, uint64_t, uint64_t>;
+  using ReplayCache = std::map<DedupKey, std::string>;
+
+  // The messages one request decodes into and replies from. A handler may
+  // pump the simulator, which delivers further requests to this exporter
+  // inside the dispatch, so requests nest; each nesting depth keeps its
+  // own pair, reused by every later request at that depth.
+  struct Work {
+    RequestMsg request;
+    ReplyMsg reply;
+  };
 
   void OnDatagram(const net::Packet& packet);
-  ReplyMsg Dispatch(const RequestMsg& request);
+  void OnBindRequest(const net::Packet& packet, std::string_view payload);
+  void Dispatch(const RequestMsg& request, ReplyMsg* reply);
+  const std::string* Cached(const DedupKey& key) const;
+  std::string& CacheEntry(const DedupKey& key);
   BindReplyMsg Bind(const BindRequestMsg& request, uint32_t source_ip,
                     uint16_t source_port);
   void RevokeClient(uint64_t token, const BoundClient& client);
@@ -139,8 +157,15 @@ class Exporter {
   std::map<uint64_t, BoundClient> bound_;  // by capability token
   uint64_t token_rng_;  // splitmix64 state: deterministic per (host, port)
 
-  std::map<DedupKey, std::string> replay_;  // encoded cached replies
-  std::deque<DedupKey> replay_fifo_;
+  std::vector<std::unique_ptr<Work>> work_;
+  size_t depth_ = 0;  // requests being handled
+
+  ReplayCache replay_;  // encoded cached replies
+  // Keys in insertion order: a ring of kDedupWindow whose oldest key sits
+  // at replay_next_ once the cache is full.
+  std::vector<DedupKey> replay_ring_;
+  size_t replay_next_ = 0;
+  std::vector<DedupKey> in_flight_;  // requests dispatching, innermost last
 
   uint64_t requests_ = 0;
   uint64_t dedup_hits_ = 0;

@@ -55,6 +55,11 @@ EventProxy::EventProxy(net::Host& host, sim::Simulator* sim,
   // Bind before installing anything: a denied handshake throws out of the
   // constructor and leaves no local binding behind.
   std::vector<micro::Program> imposed = BindHandshake();
+  request_.kind = RaiseKind::kSync;
+  request_.token = token_;
+  request_.event_name = event_.name();
+  request_.params = plan_.params;
+  request_.args.resize(plan_.params.size());
 
   // The exporter's imposed guards arrive with the binding, in its install.
   InstallOptions install;
@@ -85,9 +90,9 @@ std::vector<micro::Program> EventProxy::BindHandshake() {
   request.params = plan_.params;
   const uint64_t id = request.bind_id;
 
-  if (!TransmitAwait(EncodeBindRequest(request), id, [this, id] {
-        return bind_inbox_.find(id) != bind_inbox_.end();
-      })) {
+  bind_id_ = id;
+  if (!TransmitAwait(EncodeBindRequest(request), id,
+                     [this] { return bind_reply_.has_value(); })) {
     ++timeouts_;
     obs::FlightRecorder::Global().Emit(obs::TraceKind::kRemoteTimeout,
                                        obs_name_, id);
@@ -95,8 +100,9 @@ std::vector<micro::Program> EventProxy::BindHandshake() {
                       event_.name() + ": bind handshake got no reply after " +
                           std::to_string(opts_.max_attempts) + " attempts");
   }
-  BindReplyMsg reply = std::move(bind_inbox_[id]);
-  bind_inbox_.erase(id);
+  BindReplyMsg reply = std::move(*bind_reply_);
+  bind_reply_.reset();
+  bind_id_ = 0;
 
   switch (reply.status) {
     case WireStatus::kOk:
@@ -208,37 +214,45 @@ uint64_t EventProxy::RaiseSync(uint64_t* slots) {
   }
 
   const bool tracing = wire_scope.has_value();
-  RequestMsg request;
-  std::string encoded;
+
+  // This raise's call, by nesting depth. It goes idle again on every exit
+  // path, so no reply is kept for a raise that has returned.
+  if (depth_ == calls_.size()) {
+    calls_.push_back(std::make_unique<Call>());
+  }
+  Call& call = *calls_[depth_++];
+  struct Leave {
+    EventProxy* self;
+    Call* call;
+    ~Leave() {
+      call->id = 0;
+      call->replied = false;
+      --self->depth_;
+    }
+  } leave{this, &call};
+
   {
     obs::PhaseScope marshal_phase(obs::Phase::kMarshal, obs_name_, tracing);
-    request.kind = RaiseKind::kSync;
-    request.request_id = next_id_++;
-    request.token = token_;
-    request.event_name = event_.name();
-    request.params = plan_.params;
-    request.args.reserve(plan_.params.size());
+    request_.request_id = next_id_++;
     for (size_t i = 0; i < plan_.params.size(); ++i) {
       const WireParam& p = plan_.params[i];
       if (p.by_ref) {
         const void* ptr =
             reinterpret_cast<const void*>(static_cast<uintptr_t>(slots[i]));
-        request.args.push_back(
-            LoadScalar(static_cast<TypeClass>(p.cls), ptr));
+        request_.args[i] = LoadScalar(static_cast<TypeClass>(p.cls), ptr);
       } else {
-        request.args.push_back(slots[i]);
+        request_.args[i] = slots[i];
       }
     }
-    if (wire_scope) {
-      request.span_id = wire_scope->span();
-      request.origin_host = host_.trace_host_id();
-    }
-    encoded = EncodeRequest(request);
+    request_.span_id = tracing ? wire_scope->span() : 0;
+    request_.origin_host = tracing ? host_.trace_host_id() : 0;
+    EncodeRequest(request_, &call.encoded);
     obs::FlightRecorder::Global().Emit(obs::TraceKind::kRemoteMarshal,
-                                       obs_name_, encoded.size());
+                                       obs_name_, call.encoded.size());
   }
 
-  const uint64_t id = request.request_id;
+  const uint64_t id = request_.request_id;
+  call.id = id;
   const uint64_t start_ns = sim_->now_ns();
   bool got_reply;
   {
@@ -247,8 +261,8 @@ uint64_t EventProxy::RaiseSync(uint64_t* slots) {
     // subtracts itself from the wire self-time through the nesting chain);
     // the virtual-clock transit is reported separately below.
     obs::PhaseScope wire_phase(obs::Phase::kWire, obs_name_, tracing);
-    got_reply = TransmitAwait(encoded, id, [this, id] {
-      return dead_ || inbox_.find(id) != inbox_.end();
+    got_reply = TransmitAwait(call.encoded, id, [this, &call] {
+      return dead_ || call.replied;
     });
   }
   if (tracing) {
@@ -265,7 +279,7 @@ uint64_t EventProxy::RaiseSync(uint64_t* slots) {
                       event_.name() + " after " +
                           std::to_string(opts_.max_attempts) + " attempts");
   }
-  if (inbox_.find(id) == inbox_.end()) {
+  if (!call.replied) {
     // A revocation notice arrived while we pumped for the reply.
     ++dead_raises_;
     throw RemoteError(
@@ -276,8 +290,7 @@ uint64_t EventProxy::RaiseSync(uint64_t* slots) {
   // Reply unmarshal covers everything after the join: status decode,
   // exception mapping, VAR copy-out. RAII: an error path still closes it.
   obs::PhaseScope unmarshal_phase(obs::Phase::kUnmarshal, obs_name_, tracing);
-  ReplyMsg reply = std::move(inbox_[id]);
-  inbox_.erase(id);
+  const ReplyMsg& reply = call.reply;
   obs::FlightRecorder::Global().Emit(obs::TraceKind::kRemoteReply,
                                      obs_name_, id);
   roundtrip_.Record(sim_->now_ns() - start_ns);
@@ -388,8 +401,16 @@ size_t EventProxy::Flush() {
   return drained.size();
 }
 
+size_t EventProxy::queued_replies() const {
+  size_t queued = 0;
+  for (size_t d = 0; d < depth_; ++d) {
+    queued += calls_[d]->replied ? 1 : 0;
+  }
+  return queued + (bind_reply_.has_value() ? 1 : 0);
+}
+
 void EventProxy::OnDatagram(const net::Packet& packet) {
-  std::string payload = packet.UdpPayload();
+  const std::string_view payload = packet.UdpPayloadView();
   MsgType type;
   if (!PeekType(payload, &type)) {
     return;  // not ours; ignore
@@ -399,16 +420,27 @@ void EventProxy::OnDatagram(const net::Packet& packet) {
       // Runs inline inside RaiseSync's wire pump on the same thread, so
       // this decode nests under (and subtracts from) the kWire scope.
       obs::PhaseScope decode_phase(obs::Phase::kUnmarshal, obs_name_);
-      ReplyMsg reply;
-      if (DecodeReply(payload, &reply)) {
-        inbox_[reply.request_id] = std::move(reply);
+      if (!DecodeReply(payload, &incoming_)) {
+        return;
+      }
+      // Only a raise still awaiting the reply takes it. A reply that
+      // arrives after its raise timed out, or a replayed duplicate of one
+      // already taken, is dropped here.
+      for (size_t d = 0; d < depth_; ++d) {
+        Call& call = *calls_[d];
+        if (call.id == incoming_.request_id && !call.replied) {
+          std::swap(call.reply, incoming_);
+          call.replied = true;
+          return;
+        }
       }
       return;
     }
     case MsgType::kBindReply: {
       BindReplyMsg reply;
-      if (DecodeBindReply(payload, &reply)) {
-        bind_inbox_[reply.bind_id] = std::move(reply);
+      if (DecodeBindReply(payload, &reply) && bind_id_ != 0 &&
+          reply.bind_id == bind_id_ && !bind_reply_.has_value()) {
+        bind_reply_ = std::move(reply);
       }
       return;
     }

@@ -54,10 +54,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/core/dispatcher.h"
 #include "src/net/host.h"
@@ -120,6 +121,9 @@ class EventProxy {
   uint64_t timeouts() const { return timeouts_; }
   uint64_t dead_raises() const { return dead_raises_; }
   uint64_t revoke_notices() const { return revoke_notices_; }
+  // Replies held for a raise that has not consumed them yet: 0 between
+  // raises, because a reply no raise awaits is dropped on arrival.
+  size_t queued_replies() const;
 
   // Distribution of sync roundtrips in virtual (simulated) nanoseconds.
   const obs::Histogram& roundtrip_hist() const { return roundtrip_; }
@@ -161,8 +165,23 @@ class EventProxy {
 
   uint64_t next_id_ = 1;  // re-seeded from virtual time at construction
   uint64_t token_ = 0;  // capability granted by the bind handshake
-  std::map<uint64_t, ReplyMsg> inbox_;      // replies awaiting their raiser
-  std::map<uint64_t, BindReplyMsg> bind_inbox_;
+
+  // One sync raise in flight: the encoded request each attempt sends and
+  // the slot its reply lands in. A handler the pump runs may raise through
+  // this proxy again, so raises nest; each nesting depth keeps its own
+  // call, reused by every later raise at that depth.
+  struct Call {
+    std::string encoded;
+    uint64_t id = 0;  // the awaited request id; 0 while idle
+    bool replied = false;
+    ReplyMsg reply;
+  };
+  std::vector<std::unique_ptr<Call>> calls_;
+  size_t depth_ = 0;        // sync raises in flight
+  RequestMsg request_;      // reused per raise; name, params, token fixed
+  ReplyMsg incoming_;       // decode target, swapped into its call
+  uint64_t bind_id_ = 0;    // the bind the handshake awaits; 0 after it
+  std::optional<BindReplyMsg> bind_reply_;
   bool dead_ = false;
   bool revoked_ = false;
 

@@ -8,22 +8,19 @@ void Put8(std::string& out, uint8_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-void Put16(std::string& out, uint16_t v) {
-  out.push_back(static_cast<char>(v >> 8));
-  out.push_back(static_cast<char>(v));
+// A multi-byte field goes out big-endian in one append.
+template <typename T>
+void PutBE(std::string& out, T v) {
+  char bytes[sizeof(T)];
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<char>(v >> (8 * (sizeof(T) - 1 - i)));
+  }
+  out.append(bytes, sizeof(T));
 }
 
-void Put32(std::string& out, uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<char>(v >> shift));
-  }
-}
-
-void Put64(std::string& out, uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<char>(v >> shift));
-  }
-}
+void Put16(std::string& out, uint16_t v) { PutBE(out, v); }
+void Put32(std::string& out, uint32_t v) { PutBE(out, v); }
+void Put64(std::string& out, uint64_t v) { PutBE(out, v); }
 
 // Bounds-checked big-endian reader over the datagram payload.
 struct Reader {
@@ -84,6 +81,15 @@ void PutHeader(std::string& out, MsgType type) {
   Put16(out, kWireMagic);
   Put8(out, kWireVersion);
   Put8(out, static_cast<uint8_t>(type));
+}
+
+// Starts a message in `buffer`: cleared with its capacity kept, header
+// written.
+std::string& Begin(std::string* buffer, MsgType type, size_t size_hint) {
+  buffer->clear();
+  buffer->reserve(size_hint);
+  PutHeader(*buffer, type);
+  return *buffer;
 }
 
 bool GetHeader(Reader& r, MsgType expect) {
@@ -186,10 +192,10 @@ bool WireableGuard(const micro::Program& prog) {
          micro::Verify(prog, micro::WireGuardLimits()).ok();
 }
 
-std::string EncodeRequest(const RequestMsg& msg) {
-  std::string out;
-  out.reserve(39 + msg.event_name.size() + 9 * msg.params.size());
-  PutHeader(out, MsgType::kRequest);
+void EncodeRequest(const RequestMsg& msg, std::string* buffer) {
+  std::string& out =
+      Begin(buffer, MsgType::kRequest,
+            39 + msg.event_name.size() + 9 * msg.params.size());
   Put8(out, static_cast<uint8_t>(msg.kind));
   Put64(out, msg.request_id);
   Put64(out, msg.token);
@@ -204,13 +210,12 @@ std::string EncodeRequest(const RequestMsg& msg) {
     Put64(out, msg.span_id);
     Put32(out, msg.origin_host);
   }
-  return out;
 }
 
-std::string EncodeReply(const ReplyMsg& msg) {
-  std::string out;
-  out.reserve(24 + 8 * msg.byref.size() + msg.error.size());
-  PutHeader(out, MsgType::kReply);
+void EncodeReply(const ReplyMsg& msg, std::string* buffer) {
+  std::string& out =
+      Begin(buffer, MsgType::kReply,
+            24 + 8 * msg.byref.size() + msg.error.size());
   Put8(out, static_cast<uint8_t>(msg.status));
   Put64(out, msg.request_id);
   Put64(out, msg.result);
@@ -219,26 +224,22 @@ std::string EncodeReply(const ReplyMsg& msg) {
     Put64(out, v);
   }
   PutString(out, msg.error);
-  return out;
 }
 
-std::string EncodeBindRequest(const BindRequestMsg& msg) {
-  std::string out;
-  out.reserve(19 + msg.event_name.size() + msg.module_name.size() +
-              msg.credential.size() + msg.params.size());
-  PutHeader(out, MsgType::kBindRequest);
+void EncodeBindRequest(const BindRequestMsg& msg, std::string* buffer) {
+  std::string& out =
+      Begin(buffer, MsgType::kBindRequest,
+            19 + msg.event_name.size() + msg.module_name.size() +
+                msg.credential.size() + msg.params.size());
   Put64(out, msg.bind_id);
   PutString(out, msg.event_name);
   PutString(out, msg.module_name);
   PutString(out, msg.credential);
   PutParams(out, msg.params);
-  return out;
 }
 
-std::string EncodeBindReply(const BindReplyMsg& msg) {
-  std::string out;
-  out.reserve(24 + msg.error.size());
-  PutHeader(out, MsgType::kBindReply);
+void EncodeBindReply(const BindReplyMsg& msg, std::string* buffer) {
+  std::string& out = Begin(buffer, MsgType::kBindReply, 24 + msg.error.size());
   Put8(out, static_cast<uint8_t>(msg.status));
   Put64(out, msg.bind_id);
   Put64(out, msg.token);
@@ -247,19 +248,46 @@ std::string EncodeBindReply(const BindReplyMsg& msg) {
     PutGuard(out, guard);
   }
   PutString(out, msg.error);
+}
+
+void EncodeRevoke(const RevokeMsg& msg, std::string* buffer) {
+  std::string& out =
+      Begin(buffer, MsgType::kRevoke, 14 + msg.event_name.size());
+  Put64(out, msg.token);
+  PutString(out, msg.event_name);
+}
+
+std::string EncodeRequest(const RequestMsg& msg) {
+  std::string out;
+  EncodeRequest(msg, &out);
+  return out;
+}
+
+std::string EncodeReply(const ReplyMsg& msg) {
+  std::string out;
+  EncodeReply(msg, &out);
+  return out;
+}
+
+std::string EncodeBindRequest(const BindRequestMsg& msg) {
+  std::string out;
+  EncodeBindRequest(msg, &out);
+  return out;
+}
+
+std::string EncodeBindReply(const BindReplyMsg& msg) {
+  std::string out;
+  EncodeBindReply(msg, &out);
   return out;
 }
 
 std::string EncodeRevoke(const RevokeMsg& msg) {
   std::string out;
-  out.reserve(14 + msg.event_name.size());
-  PutHeader(out, MsgType::kRevoke);
-  Put64(out, msg.token);
-  PutString(out, msg.event_name);
+  EncodeRevoke(msg, &out);
   return out;
 }
 
-bool DecodeRequest(const std::string& wire, RequestMsg* out) {
+bool DecodeRequest(std::string_view wire, RequestMsg* out) {
   Reader r{reinterpret_cast<const uint8_t*>(wire.data()), wire.size()};
   if (!GetHeader(r, MsgType::kRequest)) {
     return false;
@@ -301,7 +329,7 @@ bool DecodeRequest(const std::string& wire, RequestMsg* out) {
   return r.pos == r.len;
 }
 
-bool DecodeReply(const std::string& wire, ReplyMsg* out) {
+bool DecodeReply(std::string_view wire, ReplyMsg* out) {
   Reader r{reinterpret_cast<const uint8_t*>(wire.data()), wire.size()};
   if (!GetHeader(r, MsgType::kReply)) {
     return false;
@@ -332,7 +360,7 @@ bool DecodeReply(const std::string& wire, ReplyMsg* out) {
   return r.pos == r.len;
 }
 
-bool DecodeBindRequest(const std::string& wire, BindRequestMsg* out) {
+bool DecodeBindRequest(std::string_view wire, BindRequestMsg* out) {
   Reader r{reinterpret_cast<const uint8_t*>(wire.data()), wire.size()};
   if (!GetHeader(r, MsgType::kBindRequest)) {
     return false;
@@ -348,7 +376,7 @@ bool DecodeBindRequest(const std::string& wire, BindRequestMsg* out) {
   return r.pos == r.len;
 }
 
-bool DecodeBindReply(const std::string& wire, BindReplyMsg* out) {
+bool DecodeBindReply(std::string_view wire, BindReplyMsg* out) {
   Reader r{reinterpret_cast<const uint8_t*>(wire.data()), wire.size()};
   if (!GetHeader(r, MsgType::kBindReply)) {
     return false;
@@ -395,7 +423,7 @@ bool DecodeBindReply(const std::string& wire, BindReplyMsg* out) {
   return r.pos == r.len;
 }
 
-bool DecodeRevoke(const std::string& wire, RevokeMsg* out) {
+bool DecodeRevoke(std::string_view wire, RevokeMsg* out) {
   Reader r{reinterpret_cast<const uint8_t*>(wire.data()), wire.size()};
   if (!GetHeader(r, MsgType::kRevoke)) {
     return false;
@@ -406,7 +434,7 @@ bool DecodeRevoke(const std::string& wire, RevokeMsg* out) {
   return r.pos == r.len;
 }
 
-bool PeekType(const std::string& wire, MsgType* out) {
+bool PeekType(std::string_view wire, MsgType* out) {
   if (wire.size() < 4) {
     return false;
   }

@@ -47,6 +47,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/micro/program.h"
@@ -154,24 +155,34 @@ struct RevokeMsg {
   std::string event_name;
 };
 
+// Encoders replace the contents of `out` but keep its capacity, so a caller
+// that reuses one buffer encodes without allocating once the buffer has
+// grown to its largest message. The returning forms wrap them.
+void EncodeRequest(const RequestMsg& msg, std::string* out);
+void EncodeReply(const ReplyMsg& msg, std::string* out);
+void EncodeBindRequest(const BindRequestMsg& msg, std::string* out);
+void EncodeBindReply(const BindReplyMsg& msg, std::string* out);
+void EncodeRevoke(const RevokeMsg& msg, std::string* out);
 std::string EncodeRequest(const RequestMsg& msg);
 std::string EncodeReply(const ReplyMsg& msg);
 std::string EncodeBindRequest(const BindRequestMsg& msg);
 std::string EncodeBindReply(const BindReplyMsg& msg);
 std::string EncodeRevoke(const RevokeMsg& msg);
 
-// Decoders return false on anything malformed (bad magic/version/lengths,
-// out-of-bounds counts, invalid guard programs); the caller drops the
-// datagram, it never reaches the dispatcher.
-bool DecodeRequest(const std::string& wire, RequestMsg* out);
-bool DecodeReply(const std::string& wire, ReplyMsg* out);
-bool DecodeBindRequest(const std::string& wire, BindRequestMsg* out);
-bool DecodeBindReply(const std::string& wire, BindReplyMsg* out);
-bool DecodeRevoke(const std::string& wire, RevokeMsg* out);
+// Decoders read the datagram in place and return false on anything
+// malformed (bad magic/version/lengths, out-of-bounds counts, invalid guard
+// programs); the caller drops the datagram, it never reaches the
+// dispatcher. A message decoded into again reuses its strings' and
+// vectors' capacity.
+bool DecodeRequest(std::string_view wire, RequestMsg* out);
+bool DecodeReply(std::string_view wire, ReplyMsg* out);
+bool DecodeBindRequest(std::string_view wire, BindRequestMsg* out);
+bool DecodeBindReply(std::string_view wire, BindReplyMsg* out);
+bool DecodeRevoke(std::string_view wire, RevokeMsg* out);
 
 // Classifies a datagram without decoding the body; false when it is not a
 // remote-dispatch message at all.
-bool PeekType(const std::string& wire, MsgType* out);
+bool PeekType(std::string_view wire, MsgType* out);
 
 // True when `prog` may travel in a BindReply: FUNCTIONAL and admitted by
 // the micro::Verify wire-guard pass — bounded, terminating, pure, and

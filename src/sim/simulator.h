@@ -68,8 +68,8 @@ class Simulator {
     }
   };
 
-  // Moves the earliest entry out of the heap, then runs it: the callable
-  // (for a wire delivery, a closure holding a whole frame) is never copied.
+  // Moves the earliest entry out of the heap, then runs it: the callable is
+  // never copied.
   void RunNext() {
     std::pop_heap(queue_.begin(), queue_.end(), Later{});
     Entry entry = std::move(queue_.back());

@@ -19,9 +19,9 @@ import tempfile
 DISPATCH_DOC = {
     "bench": "dispatch_matrix",
     "rows": [
-        {"mode": "sync", "shards": 1, "threads": 1, "handlers": 10,
+        {"mode": "sync", "threads": 1, "handlers": 10,
          "raises_per_sec": 28000000, "ns_per_raise": 35.7},
-        {"mode": "async", "shards": 16, "threads": 4, "handlers": 10,
+        {"mode": "async", "threads": 4, "handlers": 10,
          "raises_per_sec": 1200000, "ns_per_raise": 833.0},
     ],
 }
@@ -86,13 +86,13 @@ def main():
 
         # The same regression passes when the series is allowlisted.
         code, out = run(tool, base, slow_path,
-                        "--allow", "sync/1/1/10/*")
+                        "--allow", "sync/1/10/*")
         ok &= expect("allowlisted regression passes", code, 0, out)
 
         # A per-series threshold override can also absorb it.
         code, out = run(tool, base, slow_path,
-                        "--per", "sync/1/1/10/ns_per_raise=2.5",
-                        "--per", "sync/1/1/10/raises_per_sec=2.5")
+                        "--per", "sync/1/10/ns_per_raise=2.5",
+                        "--per", "sync/1/10/raises_per_sec=2.5")
         ok &= expect("--per override passes", code, 0, out)
 
         # Getting faster is not a regression.
@@ -110,7 +110,7 @@ def main():
 
         # A new case in the fresh run is informational, not gating.
         grown = json.loads(json.dumps(DISPATCH_DOC))
-        grown["rows"].append({"mode": "sync", "shards": 64, "threads": 1,
+        grown["rows"].append({"mode": "sync", "threads": 2,
                               "handlers": 10, "ns_per_raise": 50.0})
         code, out = run(tool, base, write(tmp, "grown.json", grown))
         ok &= expect("extra row passes", code, 0, out)

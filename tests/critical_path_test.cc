@@ -27,6 +27,20 @@ namespace {
 
 size_t PhaseIdx(obs::Phase phase) { return static_cast<size_t>(phase); }
 
+// The whole breakdown, for a failed coverage bound: which phase lost the
+// time shows only with the numbers.
+std::string Describe(const obs::CriticalPath::PhaseBreakdown& attr) {
+  std::ostringstream os;
+  os << "coverage " << attr.coverage << ", wall " << attr.wall_ns
+     << " ns, tracked " << attr.tracked_ns << " ns, residual "
+     << attr.residual_ns << " ns; self ns:";
+  for (size_t i = 0; i < obs::kNumPhases; ++i) {
+    os << " " << obs::PhaseName(static_cast<obs::Phase>(i)) << "="
+       << attr.self_ns[i];
+  }
+  return os.str();
+}
+
 obs::MergedRecord Rec(obs::TraceKind kind, const char* name, uint64_t ts,
                       uint64_t span, uint64_t parent, uint64_t arg = 0,
                       uint64_t end = 0) {
@@ -255,7 +269,7 @@ TEST(CriticalPathTest, TracedRoundtripAttributesNinetyFivePercent) {
   EXPECT_LE(attr.tracked_ns, attr.wall_ns)
       << "real-time self-times partition the wall; they cannot exceed it";
   EXPECT_EQ(attr.residual_ns, attr.wall_ns - attr.tracked_ns);
-  EXPECT_GE(attr.coverage, 0.95);
+  EXPECT_GE(attr.coverage, 0.95) << Describe(attr);
 
   EXPECT_GT(attr.self_ns[PhaseIdx(obs::Phase::kMarshal)], 0u);
   EXPECT_GT(attr.self_ns[PhaseIdx(obs::Phase::kWire)], 0u);
@@ -275,7 +289,7 @@ TEST(CriticalPathTest, SampledRoundtripAttributesNinetyFivePercent) {
   obs::CriticalPath::PhaseBreakdown attr =
       TraceOneRoundtrip(9051, /*sampled=*/true, nullptr);
   EXPECT_GT(attr.wall_ns, 0u);
-  EXPECT_GE(attr.coverage, 0.95);
+  EXPECT_GE(attr.coverage, 0.95) << Describe(attr);
   EXPECT_GT(attr.self_ns[PhaseIdx(obs::Phase::kWire)], 0u);
   EXPECT_GT(attr.virtual_ns[PhaseIdx(obs::Phase::kWireVirtual)], 0u);
 }

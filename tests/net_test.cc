@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/net/host.h"
@@ -532,6 +535,78 @@ TEST_F(NetTest, DeliveryOrderPreservedUnderSeededLoss) {
   ASSERT_EQ(received.size(), page.size());
   EXPECT_EQ(received, page);
   EXPECT_GT(wire_.frames_lost(), 0u);
+}
+
+// --- Wire-owned frames ------------------------------------------------------
+
+TEST_F(NetTest, ReusedFrameIsZeroPastItsLength) {
+  std::vector<const Packet*> frames;
+  bool tail_zero = true;
+  UdpSocket receiver(b_, 2222, [&](const Packet& p) {
+    frames.push_back(&p);
+    for (size_t i = p.len; i < kMaxFrame; ++i) {
+      tail_zero = tail_zero && p.data[i] == 0;
+    }
+  });
+  UdpSocket sender(a_, 1111, nullptr);
+  sender.SendTo(b_.ip(), 2222, std::string(1000, '\xab'));
+  sim_.Run();
+  sender.SendTo(b_.ip(), 2222, std::string(10, '\xcd'));
+  sim_.Run();
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0], frames[1]) << "the wire reuses its idle frame";
+  EXPECT_TRUE(tail_zero) << "bytes past len are zero in a reused frame";
+}
+
+bool Scribble(Packet* packet) {
+  std::memset(packet->data, 0x5a, kMaxFrame);
+  packet->len = 7;
+  return false;
+}
+
+TEST_F(NetTest, ReceiveLeavesTheCallersPacketUntouched) {
+  BindingSet scribbler;
+  scribbler.Add(dispatcher_.InstallHandler(b_.EtherPacketArrived, &Scribble,
+                                           {.order = {OrderKind::kFirst}}));
+  Packet p = MakeUdpPacket(a_.ip(), b_.ip(), 1111, 2222, "payload");
+  const Packet before = p;
+  b_.Receive(p);
+  EXPECT_EQ(p.len, before.len);
+  EXPECT_EQ(std::memcmp(p.data, before.data, kMaxFrame), 0);
+}
+
+// Pins the wire's schedule: frames offered and lost, and the virtual time
+// and length of every delivery, in both directions, with several frames in
+// flight at once. The expected values were recorded from the wire that
+// carried whole packets by value, before frames were wire-owned.
+TEST_F(NetTest, FrameCountLossAndTimingAreUnchanged) {
+  wire_.SetRandomLoss(0.25, /*seed=*/42);
+  std::vector<std::pair<uint64_t, uint32_t>> arrivals;  // (virtual ns, len)
+  auto record = [&](const Packet& p) {
+    arrivals.emplace_back(sim_.now_ns(), p.len);
+  };
+  UdpSocket at_b(b_, 2222, record);
+  UdpSocket at_a(a_, 1111, record);
+  for (int burst = 0; burst < 8; ++burst) {
+    for (int i = 0; i < 3; ++i) {
+      size_t n = static_cast<size_t>((burst * 3 + i) * 157 % 1400 + 1);
+      UdpSocket& from = (burst + i) % 2 == 0 ? at_a : at_b;
+      from.SendTo(&from == &at_a ? b_.ip() : a_.ip(),
+                  &from == &at_a ? 2222 : 1111, std::string(n, 'f'));
+    }
+    sim_.Run();
+  }
+  std::ostringstream got;
+  for (const auto& [ns, len] : arrivals) {
+    got << ns << ":" << len << " ";
+  }
+  EXPECT_EQ(wire_.frames_offered(), 24u);
+  EXPECT_EQ(wire_.frames_lost(), 6u);
+  EXPECT_EQ(got.str(),
+            "916200:514 1453000:671 2115400:828 2928400:985 4881200:1299 "
+            "4951000:56 5417400:370 5864000:527 6411200:684 7084000:841 "
+            "7907400:998 9881000:1312 9961200:69 10142000:226 10448400:383 "
+            "10905400:540 11463000:697 12146200:854 ");
 }
 
 }  // namespace

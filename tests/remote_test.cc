@@ -870,6 +870,152 @@ TEST(RemoteDeterminism, SeededLossReplaysExactly) {
   EXPECT_NE(run(7), run(8)) << "the seed must actually steer the pattern";
 }
 
+// --- The reply inbox and nested pumps --------------------------------------
+
+TEST_F(RemoteTest, LateAndDuplicateRepliesAreNotQueued) {
+  Event<uint64_t(uint64_t)> server_ev("Late.Op", nullptr, nullptr,
+                                      &dispatcher_);
+  CountCtx ctx;
+  dispatcher_.InstallHandler(server_ev, &CountingHandler, &ctx);
+  exporter_.Export(server_ev);
+  Event<uint64_t(uint64_t)> client_ev("Late.Op", nullptr, nullptr,
+                                      &dispatcher_);
+  // Below the ~168 us round trip: every raise times out once, so the reply
+  // to its first copy arrives after the retransmission left, and the
+  // replayed reply to the retransmission arrives after the raise returned.
+  ProxyOptions opts = Opts(9013);
+  opts.timeout_ns = 150'000;
+  EventProxy proxy(client_host_, &sim_, client_ev, opts);
+
+  for (uint64_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(client_ev.Raise(i), i + 1);
+  }
+  sim_.Run();
+  EXPECT_GE(proxy.retries(), 100u);
+  EXPECT_EQ(ctx.calls, 100);
+  EXPECT_EQ(proxy.queued_replies(), 0u)
+      << "a reply no raise awaits must not stay queued";
+}
+
+// An exporter on each host: the server's handler raises an event that the
+// client host exports, so its sync raise pumps the simulator from inside
+// the server exporter's dispatch.
+struct NestedCtx {
+  Event<uint64_t(uint64_t)>* inner = nullptr;  // proxied to the client host
+  Event<uint64_t(uint64_t)>* outer = nullptr;  // proxied to the server host
+  int outer_calls = 0;
+  int inner_calls = 0;
+};
+
+uint64_t NestedOuter(NestedCtx* ctx, uint64_t a, uint64_t b) {
+  ++ctx->outer_calls;
+  return a + ctx->inner->Raise(b);
+}
+
+uint64_t NestedInner(NestedCtx* ctx, uint64_t b) {
+  ++ctx->inner_calls;
+  return b * 2;
+}
+
+TEST_F(RemoteTest, NestedPumpDoesNotRerunARetransmittedRequest) {
+  NestedCtx ctx;
+  Exporter client_exporter(client_host_);
+  Event<uint64_t(uint64_t)> inner_at_client("Nested.Inner", nullptr, nullptr,
+                                            &dispatcher_);
+  dispatcher_.InstallHandler(inner_at_client, &NestedInner, &ctx);
+  client_exporter.Export(inner_at_client);
+  Event<uint64_t(uint64_t)> inner_at_server("Nested.Inner", nullptr, nullptr,
+                                            &dispatcher_);
+  ProxyOptions inner_opts;
+  inner_opts.remote_ip = client_host_.ip();
+  inner_opts.local_port = 9014;
+  EventProxy inner_proxy(server_host_, &sim_, inner_at_server, inner_opts);
+  ctx.inner = &inner_at_server;
+
+  Event<uint64_t(uint64_t, uint64_t)> outer_at_server(
+      "Nested.Outer.Operation", nullptr, nullptr, &dispatcher_);
+  dispatcher_.InstallHandler(outer_at_server, &NestedOuter, &ctx);
+  exporter_.Export(outer_at_server);
+  Event<uint64_t(uint64_t, uint64_t)> outer_at_client(
+      "Nested.Outer.Operation", nullptr, nullptr, &dispatcher_);
+  // The outer request's frame takes ~110 us to cross, longer than this
+  // first timeout, so its retransmission is already on the wire while the
+  // first copy dispatches, and arrives inside the handler's nested pump.
+  ProxyOptions opts = Opts(9015);
+  opts.timeout_ns = 100'000;
+  EventProxy outer_proxy(client_host_, &sim_, outer_at_client, opts);
+  const uint64_t dedup_before = exporter_.dedup_hits();
+  const uint64_t retries_before = outer_proxy.retries();
+
+  EXPECT_EQ(outer_at_client.Raise(3, 4), 3u + 8u);
+  EXPECT_EQ(ctx.outer_calls, 1) << "at-most-once under a nested pump";
+  EXPECT_EQ(ctx.inner_calls, 1);
+  EXPECT_GT(outer_proxy.retries(), retries_before);
+  EXPECT_GT(exporter_.dedup_hits(), dedup_before);
+  sim_.Run();
+  EXPECT_EQ(ctx.outer_calls, 1);
+  EXPECT_EQ(outer_proxy.queued_replies(), 0u);
+}
+
+uint64_t RecursiveOuter(NestedCtx* ctx, uint64_t v) {
+  ++ctx->outer_calls;
+  return v == 0 ? 100 : ctx->inner->Raise(v) + 1;
+}
+
+uint64_t RecursiveInner(NestedCtx* ctx, uint64_t v) {
+  ++ctx->inner_calls;
+  return ctx->outer->Raise(v - 1) + 10;
+}
+
+// Outer(1) runs on the server and raises Inner(1) on the client, which
+// raises Outer(0) back through the client's proxy: a raise through a proxy
+// nested inside that proxy's own pump. The outer reply is lost, so the
+// outer raise recovers only by re-sending its own request after the nested
+// raise has used the proxy.
+TEST_F(RemoteTest, NestedRaiseThroughTheSameProxyResendsItsOwnRequest) {
+  NestedCtx ctx;
+  Exporter client_exporter(client_host_);
+  Event<uint64_t(uint64_t)> inner_at_client("Recursive.Inner", nullptr,
+                                            nullptr, &dispatcher_);
+  dispatcher_.InstallHandler(inner_at_client, &RecursiveInner, &ctx);
+  client_exporter.Export(inner_at_client);
+  Event<uint64_t(uint64_t)> inner_at_server("Recursive.Inner", nullptr,
+                                            nullptr, &dispatcher_);
+  ProxyOptions inner_opts;
+  inner_opts.remote_ip = client_host_.ip();
+  inner_opts.local_port = 9016;
+  EventProxy inner_proxy(server_host_, &sim_, inner_at_server, inner_opts);
+  ctx.inner = &inner_at_server;
+
+  Event<uint64_t(uint64_t)> outer_at_server("Recursive.Outer", nullptr,
+                                            nullptr, &dispatcher_);
+  dispatcher_.InstallHandler(outer_at_server, &RecursiveOuter, &ctx);
+  exporter_.Export(outer_at_server);
+  Event<uint64_t(uint64_t)> outer_at_client("Recursive.Outer", nullptr,
+                                            nullptr, &dispatcher_);
+  EventProxy outer_proxy(client_host_, &sim_, outer_at_client, Opts(9017));
+  ctx.outer = &outer_at_client;
+
+  bool dropped = false;
+  wire_.SetDropHook([&](const net::Packet& p, uint64_t, uint64_t) {
+    ReplyMsg reply;
+    if (dropped || p.ip_proto() != net::kIpProtoUdp ||
+        p.dst_port() != 9017 || !DecodeReply(p.UdpPayload(), &reply) ||
+        reply.result != 111) {
+      return false;
+    }
+    dropped = true;
+    return true;
+  });
+
+  EXPECT_EQ(outer_at_client.Raise(1), 111u);
+  EXPECT_TRUE(dropped);
+  EXPECT_EQ(ctx.outer_calls, 2);
+  EXPECT_EQ(ctx.inner_calls, 1);
+  EXPECT_GE(outer_proxy.retries(), 1u);
+  EXPECT_EQ(outer_proxy.timeouts(), 0u);
+}
+
 TEST_F(RemoteTest, FlightRecorderAndMetricsObserveTheRetryPath) {
   Event<uint64_t(uint64_t)> server_ev("Traced.Op", nullptr, nullptr,
                                       &dispatcher_);

@@ -44,9 +44,8 @@ import sys
 # Identity fields, in the order they form the row key. A field only
 # contributes when the row has it.
 KEY_FIELDS = (
-    "bench", "case", "mode", "stack", "loss", "shards", "threads",
-    "handlers", "hosts", "connections", "payload", "guard", "traced",
-    "name",
+    "bench", "case", "mode", "stack", "loss", "threads", "handlers",
+    "hosts", "connections", "payload", "guard", "traced", "name",
 )
 
 HIGHER_IS_WORSE_SUFFIXES = ("_ns", "_us", "_ratio")
